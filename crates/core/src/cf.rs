@@ -17,7 +17,7 @@
 //! the original unpacked implementation as the differential-testing
 //! oracle.
 
-use crate::dependency::{PredictorAttr, Side};
+use crate::dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 use crate::scope::Scope;
 use crate::voting::{KeyRef, VoteKey, VoteTables};
 use auric_model::{
@@ -55,6 +55,17 @@ impl Default for CfConfig {
             support: 0.75,
             hops: 1,
             marginal_selection: false,
+        }
+    }
+}
+
+impl CfConfig {
+    /// Dependency-selection options for this configuration.
+    fn select_options<'a>(&self, obs: &'a Recorder) -> SelectOptions<'a> {
+        SelectOptions {
+            alpha: self.alpha,
+            marginal: self.marginal_selection,
+            obs,
         }
     }
 }
@@ -698,8 +709,13 @@ impl CfModel {
 
             // The batch may have shifted which attributes pass the
             // chi-square test: re-select, exactly as a full refit would.
-            let dependent =
-                select_dependent(snapshot, arena, scope_after, param, &self.config, &obs);
+            let dependent = select_dependent(
+                arena,
+                snapshot,
+                scope_after,
+                param,
+                &self.config.select_options(&obs),
+            );
             if dependent != self.params[i].dependent || !self.params[i].codec.fits_u128() {
                 self.params[i] =
                     fit_param_with_dependent(snapshot, arena, cache, scope_after, param, dependent);
@@ -1333,37 +1349,6 @@ fn pack_key_column(
     }
 }
 
-/// Dependency selection for one parameter, honoring the configured
-/// selection flavor.
-fn select_dependent(
-    snapshot: &NetworkSnapshot,
-    arena: &AttrArena,
-    scope: &Scope,
-    param: ParamId,
-    config: &CfConfig,
-    obs: &Recorder,
-) -> Vec<PredictorAttr> {
-    if config.marginal_selection {
-        crate::dependency::select_dependent_marginal_with_obs_in(
-            arena,
-            snapshot,
-            scope,
-            param,
-            config.alpha,
-            obs,
-        )
-    } else {
-        crate::dependency::select_dependent_with_obs_in(
-            arena,
-            snapshot,
-            scope,
-            param,
-            config.alpha,
-            obs,
-        )
-    }
-}
-
 /// The `(param, value)` slot of a removed-target record.
 fn value_for(values: &[(ParamId, ValueIdx)], param: ParamId) -> ValueIdx {
     values
@@ -1487,7 +1472,7 @@ fn fit_param(
 ) -> ParamCf {
     let span = obs.span("cf.fit/param");
     let dep_span = span.child("dependency");
-    let dependent = select_dependent(snapshot, arena, scope, param, config, obs);
+    let dependent = select_dependent(arena, snapshot, scope, param, &config.select_options(obs));
     dep_span.close();
     let pc = fit_param_with_dependent(snapshot, arena, cache, scope, param, dependent);
     obs.inc("cf.fit.params");

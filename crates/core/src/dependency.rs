@@ -19,15 +19,14 @@
 //! (a stratified Cochran–Mantel–Haenszel-style sum of per-stratum
 //! chi-square statistics). A redundant correlate carries no conditional
 //! information and is dropped; a genuinely complementary attribute
-//! survives. The marginal-only variant is kept as
-//! [`select_dependent_marginal`] for the ablation benches.
+//! survives. The marginal-only variant is kept behind
+//! [`SelectOptions::marginal`] for the ablation benches.
 
 use crate::scope::Scope;
 use auric_model::{AttrArena, AttrId, AttrValue, NetworkSnapshot, ParamId, ParamKind};
 use auric_stats::chi2::chi2_critical;
 use auric_stats::contingency::ContingencyTable;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which endpoint of a directed pair an attribute is read from. Singular
 /// parameters only use [`Side::Src`].
@@ -62,22 +61,27 @@ impl PredictorAttr {
     }
 }
 
+/// Strata with fewer observations than this never contribute evidence:
+/// the Cochran guard below needs `total ≥ 5·d` for `d ≥ 1`.
+const MIN_STRATUM: u32 = 5;
+
 /// The per-sample view the tests run over: one dense value column plus the
 /// shared arena the candidate level columns are read from.
 ///
 /// Candidate levels are **not** materialized up front — with 28 candidates
 /// over 2.2M pairwise samples that private copy is ~120 MB per concurrent
-/// job. Instead one scratch buffer per job ([`Samples::levels_into`]) is
-/// refilled from the arena column for whichever candidate is under test.
+/// job. A candidate's level at sample `i` is read straight from its arena
+/// column as `column[rows[side][i]]`.
 struct Samples<'a> {
-    /// Dense value column index per sample.
-    values: Vec<usize>,
+    /// Dense value column index per sample, in first-appearance order.
+    values: Vec<u32>,
     n_value_cols: usize,
+    /// Arena row per sample, by [`Side`]: the carrier itself for singular
+    /// parameters (`Src` only), the pair's endpoints for pair-wise ones.
+    rows: [Vec<u32>; 2],
     candidates: Vec<PredictorAttr>,
     cards: Vec<usize>,
     arena: &'a AttrArena,
-    scope: &'a Scope,
-    kind: ParamKind,
 }
 
 /// Materializes the value column of `param` over `scope`; candidate levels
@@ -85,27 +89,45 @@ struct Samples<'a> {
 fn collect_samples<'a>(
     arena: &'a AttrArena,
     snapshot: &NetworkSnapshot,
-    scope: &'a Scope,
+    scope: &Scope,
     param: ParamId,
 ) -> Samples<'a> {
     let kind = snapshot.catalog.def(param).kind;
-    let raw_values: Vec<u16> = match kind {
-        ParamKind::Singular => scope
-            .carriers
-            .iter()
-            .map(|&c| snapshot.config.value(param, c))
-            .collect(),
-        ParamKind::Pairwise => scope
-            .pairs
-            .iter()
-            .map(|&p| snapshot.config.pair_value(param, p))
-            .collect(),
+    let (mut values, rows): (Vec<u32>, [Vec<u32>; 2]) = match kind {
+        ParamKind::Singular => {
+            let raw = snapshot.config.values_of(param);
+            let carriers = scope.carriers.iter().map(|c| c.index());
+            (
+                carriers.clone().map(|c| raw[c] as u32).collect(),
+                [carriers.map(|c| c as u32).collect(), Vec::new()],
+            )
+        }
+        ParamKind::Pairwise => {
+            let raw = snapshot.config.pair_values_of(param);
+            let ends =
+                |e: &[u32]| -> Vec<u32> { scope.pairs.iter().map(|&p| e[p as usize]).collect() };
+            (
+                scope
+                    .pairs
+                    .iter()
+                    .map(|&p| raw[p as usize] as u32)
+                    .collect(),
+                [ends(arena.pair_src()), ends(arena.pair_dst())],
+            )
+        }
     };
-    let mut value_col: HashMap<u16, usize> = HashMap::new();
-    let mut values = Vec::with_capacity(raw_values.len());
-    for v in raw_values {
-        let next = value_col.len();
-        values.push(*value_col.entry(v).or_insert(next));
+    // Dense value-column index, assigned in first-appearance order: the
+    // column order fixes the chi-square summation order.
+    let max_value = values.iter().copied().max().unwrap_or(0) as usize;
+    let mut value_col = vec![u32::MAX; max_value + 1];
+    let mut n_value_cols = 0u32;
+    for v in &mut values {
+        let col = &mut value_col[*v as usize];
+        if *col == u32::MAX {
+            *col = n_value_cols;
+            n_value_cols += 1;
+        }
+        *v = *col;
     }
 
     let candidates: Vec<PredictorAttr> = match kind {
@@ -123,12 +145,11 @@ fn collect_samples<'a>(
         .collect();
     Samples {
         values,
-        n_value_cols: value_col.len(),
+        n_value_cols: n_value_cols as usize,
+        rows,
         candidates,
         cards,
         arena,
-        scope,
-        kind,
     }
 }
 
@@ -138,346 +159,484 @@ impl Samples<'_> {
         self.values.len()
     }
 
-    /// Gathers candidate `c`'s level per sample into `out` (cleared
-    /// first) from the shared arena column.
-    fn levels_into(&self, c: usize, out: &mut Vec<AttrValue>) {
-        out.clear();
+    /// Candidate `c`'s arena column and the per-sample rows it is read
+    /// through.
+    fn source(&self, c: usize) -> (&[AttrValue], &[u32]) {
         let pa = self.candidates[c];
-        let col = self.arena.column(pa.attr);
-        match self.kind {
-            ParamKind::Singular => {
-                out.extend(self.scope.carriers.iter().map(|&c| col[c.index()]));
-            }
-            ParamKind::Pairwise => {
-                let ends = match pa.side {
-                    Side::Src => self.arena.pair_src(),
-                    Side::Dst => self.arena.pair_dst(),
-                };
-                out.extend(
-                    self.scope
-                        .pairs
-                        .iter()
-                        .map(|&p| col[ends[p as usize] as usize]),
-                );
-            }
-        }
+        let rows = match pa.side {
+            Side::Src => &self.rows[0],
+            Side::Dst => &self.rows[1],
+        };
+        (self.arena.column(pa.attr), rows)
+    }
+
+    /// Gathers candidate `c`'s level at each sample of `at` into `out`
+    /// (cleared first).
+    fn levels_at(&self, c: usize, at: &[u32], out: &mut Vec<AttrValue>) {
+        let (col, rows) = self.source(c);
+        out.clear();
+        out.extend(at.iter().map(|&i| col[rows[i as usize] as usize]));
     }
 }
 
 /// Marginal chi-square statistic of candidate `c` (Eq. 3 over the full
-/// contingency table). `levels` is the candidate's gathered level column.
-/// Returns `(statistic, dependent)`.
-fn marginal_test(samples: &Samples, levels: &[AttrValue], c: usize, alpha: f64) -> (f64, bool) {
-    let mut table = ContingencyTable::new(samples.cards[c], samples.n_value_cols);
-    for (i, &vcol) in samples.values.iter().enumerate() {
-        table.add(levels[i] as usize, vcol, 1);
+/// contingency table), counted straight from the arena column into bare
+/// cell counts. Returns `(statistic, dependent)`.
+fn marginal_test(samples: &Samples, c: usize, alpha: f64) -> (f64, bool) {
+    let (col, rows) = samples.source(c);
+    let n_cols = samples.n_value_cols;
+    let mut counts = vec![0u64; samples.cards[c] * n_cols];
+    for (&r, &v) in rows.iter().zip(&samples.values) {
+        counts[col[r as usize] as usize * n_cols + v as usize] += 1;
     }
-    let test = table.independence_test(alpha);
-    (test.statistic, test.dependent)
+    let table = ContingencyTable::from_counts(samples.cards[c], n_cols, counts);
+    let df = table.effective_df();
+    if df == 0 {
+        return (0.0, false);
+    }
+    let stat = table.chi2_statistic();
+    (stat, stat > chi2_critical(df, alpha))
+}
+
+/// A maximal run of equal value columns inside a stratum: the stratum's
+/// column total for `col`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    col: u32,
+    len: u32,
 }
 
 /// The stratification of the samples by the currently selected
 /// attributes, maintained incrementally as the greedy selection grows.
 ///
-/// Strata are interned to dense ids (first-appearance order, so the
-/// result is deterministic), and samples falling in strata too small to
-/// ever pass the Cochran guard below (fewer than 5 observations cannot
-/// support even one effective degree of freedom) are filtered out once
-/// per refinement instead of being hashed into a fresh
-/// `HashMap<Vec<AttrValue>, ContingencyTable>` on every candidate test.
-/// With exact-match keys most strata are tiny, so this prefilter — plus
-/// indexing contingency tables by stratum id instead of by key vector —
-/// is what makes the conditional pass cheap at evaluation scale.
+/// Only *active* samples are tracked: those in strata with at least
+/// [`MIN_STRATUM`] observations and at least two distinct values. Any
+/// other stratum has `total < 5·d` or `d = 0` for every candidate, so it
+/// never contributes to a conditional test; refinement only ever splits
+/// strata, so it never will. Every later pass — refinement and candidate
+/// tests alike — is linear in the active samples, not in the scope.
+///
+/// Strata are ordered by their first (smallest) sample index: the order
+/// in which a scan over all samples first meets each stratum, so the
+/// per-stratum summation order of [`conditional_test`] is the same as
+/// keying every sample on its full selected level vector and visiting
+/// strata in first-appearance order. Within a stratum, samples are
+/// sorted by value column, so its column totals are the lengths of its
+/// value [`Run`]s.
 struct Strata {
-    /// Stratum id per sample, over *all* samples.
-    ids: Vec<u32>,
-    n_strata: usize,
-    /// Active sample indices (stratum has ≥ 5 observations), grouped by
-    /// compact stratum: `order[starts[t]..starts[t+1]]` is compact stratum
-    /// `t`'s samples, each group in ascending sample order.
-    order: Vec<u32>,
+    /// Active sample indices grouped by stratum: stratum `t` is
+    /// `idx[starts[t]..starts[t+1]]`.
+    idx: Vec<u32>,
+    /// The dense value column of each `idx` entry.
+    vals: Vec<u32>,
     starts: Vec<u32>,
-    /// Stratum id → compact table index, `u32::MAX` for filtered strata.
-    compact: Vec<u32>,
-    n_compact: usize,
+    /// Stratum `t`'s value runs, ascending by column:
+    /// `runs[run_starts[t]..run_starts[t+1]]`.
+    runs: Vec<Run>,
+    run_starts: Vec<u32>,
 }
 
 impl Strata {
-    fn root(n_samples: usize) -> Self {
+    /// The unsplit scope, samples counting-sorted by value column.
+    fn root(values: &[u32], n_value_cols: usize) -> Self {
         let mut s = Self {
-            ids: vec![0; n_samples],
-            n_strata: 1,
-            order: Vec::new(),
-            starts: Vec::new(),
-            compact: Vec::new(),
-            n_compact: 0,
+            idx: Vec::new(),
+            vals: Vec::new(),
+            starts: vec![0],
+            runs: Vec::new(),
+            run_starts: vec![0],
         };
-        s.requalify();
+        if values.len() < MIN_STRATUM as usize || n_value_cols < 2 {
+            return s;
+        }
+        let mut at = vec![0u32; n_value_cols + 1];
+        for &v in values {
+            at[v as usize + 1] += 1;
+        }
+        for b in 0..n_value_cols {
+            at[b + 1] += at[b];
+        }
+        s.idx = vec![0; values.len()];
+        for (i, &v) in values.iter().enumerate() {
+            s.idx[at[v as usize] as usize] = i as u32;
+            at[v as usize] += 1;
+        }
+        s.vals = s.idx.iter().map(|&i| values[i as usize]).collect();
+        s.close_stratum();
         s
     }
 
-    /// Splits every stratum by the levels of a newly admitted attribute.
-    /// Partitions identically to keying on the full selected level
-    /// vector: two samples share a stratum iff they shared one before
-    /// *and* agree on the new attribute.
-    fn refine(&mut self, levels: &[AttrValue]) {
-        let mut intern: HashMap<u64, u32> = HashMap::with_capacity(self.n_strata * 2);
-        for (id, &lv) in self.ids.iter_mut().zip(levels) {
-            let key = ((*id as u64) << 16) | lv as u64;
-            let next = intern.len() as u32;
-            *id = *intern.entry(key).or_insert(next);
-        }
-        self.n_strata = intern.len();
-        self.requalify();
+    fn n_strata(&self) -> usize {
+        self.starts.len() - 1
     }
 
-    /// Recomputes the compact stratum mapping and the stratum-grouped
-    /// sample order (a counting sort over compact ids: per-stratum
-    /// offsets, then one scatter pass in ascending sample order).
-    fn requalify(&mut self) {
-        let mut counts = vec![0u32; self.n_strata];
-        for &id in &self.ids {
-            counts[id as usize] += 1;
-        }
-        self.compact.clear();
-        self.compact.resize(self.n_strata, u32::MAX);
-        self.n_compact = 0;
-        let mut n_active = 0u32;
-        for (s, &ct) in counts.iter().enumerate() {
-            if ct >= 5 {
-                self.compact[s] = self.n_compact as u32;
-                self.n_compact += 1;
-                n_active += ct;
+    /// Positions of stratum `t` in `idx`/`vals`.
+    fn range(&self, t: usize) -> std::ops::Range<usize> {
+        self.starts[t] as usize..self.starts[t + 1] as usize
+    }
+
+    /// Value runs of stratum `t`.
+    fn runs(&self, t: usize) -> &[Run] {
+        &self.runs[self.run_starts[t] as usize..self.run_starts[t + 1] as usize]
+    }
+
+    /// Ends the stratum that runs from the last recorded start to the end
+    /// of `vals`, recording its value runs.
+    fn close_stratum(&mut self) {
+        let start = *self.starts.last().expect("starts holds a leading 0") as usize;
+        let first_run = self.runs.len();
+        for &v in &self.vals[start..] {
+            match self.runs[first_run..].last_mut() {
+                Some(run) if run.col == v => run.len += 1,
+                _ => self.runs.push(Run { col: v, len: 1 }),
             }
         }
-        self.starts.clear();
-        self.starts.reserve(self.n_compact + 1);
-        let mut acc = 0u32;
-        for &ct in counts.iter() {
-            // starts indexed by compact id: push only qualified strata, in
-            // stratum-id order (compact ids are assigned in that order).
-            if ct >= 5 {
-                self.starts.push(acc);
-                acc += ct;
+        self.starts.push(self.vals.len() as u32);
+        self.run_starts.push(self.runs.len() as u32);
+    }
+
+    /// Splits every stratum by the levels of a newly admitted attribute;
+    /// `levels[k]` is the level of active sample `idx[k]`, below `card`.
+    ///
+    /// Each stratum is sub-partitioned through a level-indexed scratch
+    /// array: tally each level's count and its first and last value, then
+    /// scatter the samples of every level that stays active — at least
+    /// [`MIN_STRATUM`] observations, first and last value differing (the
+    /// stratum is value-sorted) — into a staging slice, keeping their
+    /// value order. The new strata are then put in first-sample order and
+    /// copied back.
+    fn refine(&mut self, levels: &[AttrValue], card: usize) {
+        debug_assert_eq!(levels.len(), self.idx.len());
+        const DROPPED: u32 = u32::MAX;
+        #[derive(Clone, Copy)]
+        struct Tally {
+            count: u32,
+            first: u32,
+            last: u32,
+            /// Next staging slot, or `DROPPED`.
+            cursor: u32,
+        }
+        let blank = Tally {
+            count: 0,
+            first: 0,
+            last: 0,
+            cursor: DROPPED,
+        };
+        let mut tally = vec![blank; card];
+        let mut seen: Vec<AttrValue> = Vec::new();
+        let mut staged_idx = vec![0u32; self.idx.len()];
+        let mut staged_vals = vec![0u32; self.idx.len()];
+        // (first sample, staging offset, length) per new stratum.
+        let mut subs: Vec<(u32, u32, u32)> = Vec::new();
+        let mut used = 0u32;
+        for t in 0..self.n_strata() {
+            let range = self.range(t);
+            let lv = &levels[range.clone()];
+            for (&l, &v) in lv.iter().zip(&self.vals[range.clone()]) {
+                let tl = &mut tally[l as usize];
+                if tl.count == 0 {
+                    seen.push(l);
+                    tl.first = v;
+                }
+                tl.last = v;
+                tl.count += 1;
+            }
+            let first_sub = subs.len();
+            for &l in &seen {
+                let tl = &mut tally[l as usize];
+                if tl.count >= MIN_STRATUM && tl.first != tl.last {
+                    tl.cursor = used;
+                    subs.push((0, used, tl.count));
+                    used += tl.count;
+                }
+            }
+            for (k, &l) in range.zip(lv) {
+                let tl = &mut tally[l as usize];
+                if tl.cursor != DROPPED {
+                    staged_idx[tl.cursor as usize] = self.idx[k];
+                    staged_vals[tl.cursor as usize] = self.vals[k];
+                    tl.cursor += 1;
+                }
+            }
+            for &l in &seen {
+                tally[l as usize] = blank;
+            }
+            seen.clear();
+            for sub in &mut subs[first_sub..] {
+                let run = sub.1 as usize..(sub.1 + sub.2) as usize;
+                sub.0 = *staged_idx[run]
+                    .iter()
+                    .min()
+                    .expect("new strata are non-empty");
             }
         }
-        self.starts.push(acc);
-        debug_assert_eq!(acc, n_active);
-        self.order.clear();
-        self.order.resize(n_active as usize, 0);
-        let mut cursor: Vec<u32> = self.starts[..self.n_compact].to_vec();
-        for (i, &id) in self.ids.iter().enumerate() {
-            let t = self.compact[id as usize];
-            if t == u32::MAX {
-                continue;
-            }
-            self.order[cursor[t as usize] as usize] = i as u32;
-            cursor[t as usize] += 1;
+        subs.sort_unstable_by_key(|s| s.0);
+        self.idx.clear();
+        self.vals.clear();
+        self.starts.truncate(1);
+        self.runs.clear();
+        self.run_starts.truncate(1);
+        for (_, at, len) in subs {
+            let run = at as usize..(at + len) as usize;
+            self.idx.extend_from_slice(&staged_idx[run.clone()]);
+            self.vals.extend_from_slice(&staged_vals[run]);
+            self.close_stratum();
+        }
+    }
+}
+
+/// One stratum's contingency table, swept across the strata of a
+/// conditional test.
+///
+/// Counts are column-major (`counts[b * rows + a]`), so each value run of
+/// a stratum increments one strip, and occupied rows are kept as a
+/// bitset. The column totals are the stratum's run lengths and the row
+/// totals are summed from the occupied cells. `chi2_statistic` walks the
+/// occupied rows ascending and, for each, the runs ascending: exactly the
+/// terms of [`ContingencyTable::chi2_statistic`] (whose empty rows and
+/// columns contribute nothing) in the same order, so the statistic is
+/// bit-identical while the dense `cards × n_value_cols` sweep is never
+/// paid per stratum.
+struct SweepTable {
+    rows: usize,
+    counts: Vec<u32>,
+    hit: Vec<u64>,
+}
+
+impl SweepTable {
+    fn new(rows: usize, cols: usize) -> Self {
+        Self {
+            rows,
+            counts: vec![0; rows * cols],
+            hit: vec![0; rows.div_ceil(64)],
         }
     }
 
-    /// Active samples of compact stratum `t`, ascending.
-    fn stratum(&self, t: usize) -> &[u32] {
-        &self.order[self.starts[t] as usize..self.starts[t + 1] as usize]
+    /// Counts the samples of one value run, given their levels.
+    fn count(&mut self, col: u32, levels: &[AttrValue]) {
+        let strip = &mut self.counts[col as usize * self.rows..][..self.rows];
+        for &a in levels {
+            strip[a as usize] += 1;
+            self.hit[a as usize / 64] |= 1 << (a % 64);
+        }
+    }
+
+    fn n_rows_hit(&self) -> usize {
+        self.hit.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Eq. 3 over the occupied cells of a stratum of `total` samples.
+    fn chi2_statistic(&self, runs: &[Run], total: u32) -> f64 {
+        let total = total as f64;
+        let mut stat = 0.0;
+        for a in set_bits(&self.hit) {
+            let cell = |run: &Run| self.counts[run.col as usize * self.rows + a];
+            let row_total = runs.iter().map(cell).sum::<u32>() as f64;
+            for run in runs {
+                let e = row_total * run.len as f64 / total;
+                let o = cell(run) as f64;
+                stat += (o - e) * (o - e) / e;
+            }
+        }
+        stat
+    }
+
+    /// Clears the occupied cells.
+    fn reset(&mut self, runs: &[Run]) {
+        for a in set_bits(&self.hit) {
+            for run in runs {
+                self.counts[run.col as usize * self.rows + a] = 0;
+            }
+        }
+        self.hit.fill(0);
+    }
+}
+
+/// Indices of the set bits of a bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
+/// The summed outcome of a conditional test.
+#[derive(Debug, Clone, Copy)]
+struct Conditional {
+    /// Sum of the contributing strata's chi-square statistics.
+    stat: f64,
+    /// Sum of their effective degrees of freedom.
+    df: usize,
+}
+
+impl Conditional {
+    fn dependent(&self, alpha: f64) -> bool {
+        self.df > 0 && self.stat > chi2_critical(self.df, alpha)
     }
 }
 
 /// Conditional test of candidate `c` given the selected attributes:
-/// samples are stratified by the selected key; per-stratum chi-square
-/// statistics and effective degrees of freedom are summed, and the total
-/// is compared to the critical value at `alpha`.
+/// per-stratum chi-square statistics and effective degrees of freedom
+/// are summed over the strata, in stratum order. `levels[k]` is the
+/// candidate's level at active sample `strata.idx[k]`.
 ///
-/// One table sized to the candidate is swept across the strata in compact
-/// order (the stratum-grouped `Strata::order` makes each stratum's samples
-/// contiguous). Allocating a dense table *per stratum* — the previous
-/// shape — is the paper-scale RSS cliff: exact-match keys shatter 2.2M
-/// samples into hundreds of thousands of strata, and a dense
-/// `cards × n_value_cols` table for each, per candidate, per concurrent
-/// worker, is tens of gigabytes. Per-stratum table contents and the
-/// stratum summation order are unchanged, so the accept/reject decision is
-/// bit-identical.
+/// One table sized to the candidate is swept across the strata (see
+/// [`SweepTable`]). A dense table *per stratum* is the paper-scale RSS
+/// cliff: exact-match keys shatter 2.2M samples into hundreds of
+/// thousands of strata.
 fn conditional_test(
     samples: &Samples,
     levels: &[AttrValue],
     c: usize,
     strata: &Strata,
-    alpha: f64,
-) -> bool {
-    let mut table = ContingencyTable::new(samples.cards[c], samples.n_value_cols);
+) -> Conditional {
+    let mut table = SweepTable::new(samples.cards[c], samples.n_value_cols);
     let mut stat = 0.0;
     let mut df = 0usize;
-    for t in 0..strata.n_compact {
-        table.reset();
-        for &i in strata.stratum(t) {
-            let i = i as usize;
-            table.add(levels[i] as usize, samples.values[i], 1);
+    for t in 0..strata.n_strata() {
+        let range = strata.range(t);
+        let runs = strata.runs(t);
+        let mut at = range.start;
+        for run in runs {
+            let end = at + run.len as usize;
+            table.count(run.col, &levels[at..end]);
+            at = end;
         }
-        let d = table.effective_df();
-        if d == 0 {
-            continue;
-        }
+        // Strata hold ≥ 2 value columns, so d = 0 only for a constant
+        // candidate level.
+        let d = (table.n_rows_hit() - 1) * (runs.len() - 1);
         // Cochran-style small-sample guard: a sparse stratum's chi-square
         // is anti-conservative (expected counts well under 5), and at
         // per-market sample sizes that admits spurious correlates which
         // fragment the vote groups. Require a sane observations-per-cell
-        // budget before a stratum contributes evidence. (Strata under 5
-        // observations were already filtered out of `order` — they can
-        // never satisfy `total ≥ 5·d` for d ≥ 1.)
-        if table.total() < 5 * d as u64 {
-            continue;
+        // budget before a stratum contributes evidence.
+        if d > 0 && range.len() >= 5 * d {
+            stat += table.chi2_statistic(runs, range.len() as u32);
+            df += d;
         }
-        stat += table.chi2_statistic();
-        df += d;
+        table.reset(runs);
     }
-    df > 0 && stat > chi2_critical(df, alpha)
+    Conditional { stat, df }
 }
 
-/// Selects the dependent attributes for `param` over `scope` at
-/// significance `alpha`, with greedy conditional redundancy control (see
-/// module docs). The result is ordered by decreasing marginal statistic —
-/// the key order of the vote tables.
-///
-/// Singular parameters test the carrier's own attributes; pair-wise
-/// parameters test both endpoints' (§4.1).
-pub fn select_dependent(
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    alpha: f64,
-) -> Vec<PredictorAttr> {
-    select_dependent_with_obs(
-        snapshot,
-        scope,
-        param,
-        alpha,
-        &auric_obs::Recorder::disabled(),
-    )
-}
-
-/// [`select_dependent`] with chi-square test counts recorded to `obs`
-/// (`cf.dep.marginal_tests` / `cf.dep.conditional_tests`).
-///
-/// Builds a private [`AttrArena`]; fit loops that run one selection per
-/// parameter should build the arena once and call
-/// [`select_dependent_with_obs_in`].
-pub fn select_dependent_with_obs(
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    alpha: f64,
-    obs: &auric_obs::Recorder,
-) -> Vec<PredictorAttr> {
-    let arena = AttrArena::from_snapshot(snapshot);
-    select_dependent_with_obs_in(&arena, snapshot, scope, param, alpha, obs)
-}
-
-/// [`select_dependent_with_obs`] reading candidate levels through a
-/// prebuilt shared arena.
-pub fn select_dependent_with_obs_in(
-    arena: &AttrArena,
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    alpha: f64,
-    obs: &auric_obs::Recorder,
-) -> Vec<PredictorAttr> {
-    let samples = collect_samples(arena, snapshot, scope, param);
-    if samples.values.is_empty() {
-        return Vec::new();
-    }
-    // Rank the marginally significant candidates. One level buffer sized
-    // to the scope is the job's whole per-candidate working set.
-    obs.add("cf.dep.marginal_tests", samples.candidates.len() as u64);
-    obs.gauge_max(
-        "cf.dep.scratch.bytes",
-        (samples.len() * std::mem::size_of::<AttrValue>()) as u64,
-    );
-    let mut levels: Vec<AttrValue> = Vec::with_capacity(samples.len());
+/// The marginally dependent candidates with their statistics, strongest
+/// first (ties by candidate order).
+fn ranked_candidates(samples: &Samples, alpha: f64) -> Vec<(usize, f64)> {
     let mut ranked: Vec<(usize, f64)> = (0..samples.candidates.len())
         .filter_map(|c| {
-            samples.levels_into(c, &mut levels);
-            let (stat, dependent) = marginal_test(&samples, &levels, c, alpha);
+            let (stat, dependent) = marginal_test(samples, c, alpha);
             dependent.then_some((c, stat))
         })
         .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked
+}
+
+/// How [`select_dependent`] runs.
+#[derive(Debug, Clone, Copy)]
+pub struct SelectOptions<'a> {
+    /// Significance level of every chi-square test (`0.01` in the paper).
+    pub alpha: f64,
+    /// The paper's literal marginal selection, without redundancy
+    /// control (the ablation benches); the result is in candidate order.
+    pub marginal: bool,
+    /// Receives `cf.dep.marginal_tests` / `cf.dep.conditional_tests` and
+    /// the `cf.dep.scratch.bytes` gauge.
+    pub obs: &'a auric_obs::Recorder,
+}
+
+/// Selects the dependent attributes for `param` over `scope`, reading
+/// candidate levels from the prebuilt shared `arena`.
+///
+/// By default selection is greedy with conditional redundancy control
+/// (see module docs) and the result is ordered by decreasing marginal
+/// statistic — the key order of the vote tables. Singular parameters test
+/// the carrier's own attributes; pair-wise parameters test both
+/// endpoints' (§4.1).
+pub fn select_dependent(
+    arena: &AttrArena,
+    snapshot: &NetworkSnapshot,
+    scope: &Scope,
+    param: ParamId,
+    opts: &SelectOptions,
+) -> Vec<PredictorAttr> {
+    let samples = collect_samples(arena, snapshot, scope, param);
+    if samples.len() == 0 {
+        return Vec::new();
+    }
+    let obs = opts.obs;
+    obs.add("cf.dep.marginal_tests", samples.candidates.len() as u64);
+    if opts.marginal {
+        return (0..samples.candidates.len())
+            .filter(|&c| marginal_test(&samples, c, opts.alpha).1)
+            .map(|c| samples.candidates[c])
+            .collect();
+    }
+    // The per-candidate scratch: one level buffer, at most scope-sized.
+    obs.gauge_max(
+        "cf.dep.scratch.bytes",
+        (samples.len() * std::mem::size_of::<AttrValue>()) as u64,
+    );
+    let ranked = ranked_candidates(&samples, opts.alpha);
 
     // Greedy conditional admission. The stratification only changes when
     // a candidate is admitted, so it is refined incrementally rather than
-    // rebuilt per test.
+    // rebuilt per test — and not at all after the last candidate, whose
+    // strata would never be read.
+    let mut levels: Vec<AttrValue> = Vec::with_capacity(samples.len());
     let mut selected: Vec<usize> = Vec::new();
-    let mut strata = Strata::root(samples.len());
-    for &(c, _) in &ranked {
-        samples.levels_into(c, &mut levels);
-        let admit = if selected.is_empty() {
-            true
-        } else {
+    let mut strata = Strata::root(&samples.values, samples.n_value_cols);
+    for (k, &(c, _)) in ranked.iter().enumerate() {
+        samples.levels_at(c, &strata.idx, &mut levels);
+        let admit = selected.is_empty() || {
             obs.inc("cf.dep.conditional_tests");
-            conditional_test(&samples, &levels, c, &strata, alpha)
+            conditional_test(&samples, &levels, c, &strata).dependent(opts.alpha)
         };
         if admit {
-            strata.refine(&levels);
             selected.push(c);
+            if k + 1 < ranked.len() {
+                strata.refine(&levels, samples.cards[c]);
+            }
         }
     }
     selected.iter().map(|&c| samples.candidates[c]).collect()
 }
 
-/// The paper's literal marginal selection (no redundancy control), kept
-/// for the ablation benches.
-pub fn select_dependent_marginal(
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    alpha: f64,
-) -> Vec<PredictorAttr> {
-    select_dependent_marginal_with_obs(
-        snapshot,
-        scope,
-        param,
-        alpha,
-        &auric_obs::Recorder::disabled(),
-    )
-}
-
-/// [`select_dependent_marginal`] with marginal test counts recorded.
-pub fn select_dependent_marginal_with_obs(
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    alpha: f64,
-    obs: &auric_obs::Recorder,
-) -> Vec<PredictorAttr> {
-    let arena = AttrArena::from_snapshot(snapshot);
-    select_dependent_marginal_with_obs_in(&arena, snapshot, scope, param, alpha, obs)
-}
-
-/// [`select_dependent_marginal_with_obs`] reading candidate levels through
-/// a prebuilt shared arena.
-pub fn select_dependent_marginal_with_obs_in(
-    arena: &AttrArena,
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    alpha: f64,
-    obs: &auric_obs::Recorder,
-) -> Vec<PredictorAttr> {
-    let samples = collect_samples(arena, snapshot, scope, param);
-    obs.add("cf.dep.marginal_tests", samples.candidates.len() as u64);
-    let mut levels: Vec<AttrValue> = Vec::with_capacity(samples.len());
-    (0..samples.candidates.len())
-        .filter(|&c| {
-            samples.levels_into(c, &mut levels);
-            marginal_test(&samples, &levels, c, alpha).1
-        })
-        .map(|c| samples.candidates[c])
-        .collect()
-}
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use auric_netgen::{generate, rules::Side as GenSide, NetScale, TuningKnobs};
+
+    fn select(
+        snap: &NetworkSnapshot,
+        scope: &Scope,
+        p: ParamId,
+        alpha: f64,
+        marginal: bool,
+    ) -> Vec<PredictorAttr> {
+        let arena = AttrArena::from_snapshot(snap);
+        let obs = auric_obs::Recorder::disabled();
+        select_dependent(
+            &arena,
+            snap,
+            scope,
+            p,
+            &SelectOptions {
+                alpha,
+                marginal,
+                obs: &obs,
+            },
+        )
+    }
 
     #[test]
     fn recovers_planted_singular_dependencies() {
@@ -495,7 +654,7 @@ mod tests {
             if distinct < 2 {
                 continue;
             }
-            let marginal = select_dependent_marginal(snap, &scope, p, 0.01);
+            let marginal = select(snap, &scope, p, 0.01, true);
             for ra in &rule.relevant {
                 assert_eq!(ra.side, GenSide::Src);
                 planted += 1;
@@ -522,8 +681,8 @@ mod tests {
         let mut marginal_total = 0usize;
         let mut conditional_total = 0usize;
         for p in snap.catalog.param_ids() {
-            marginal_total += select_dependent_marginal(snap, &scope, p, 0.01).len();
-            conditional_total += select_dependent(snap, &scope, p, 0.01).len();
+            marginal_total += select(snap, &scope, p, 0.01, true).len();
+            conditional_total += select(snap, &scope, p, 0.01, false).len();
         }
         assert!(
             conditional_total * 2 < marginal_total,
@@ -544,7 +703,7 @@ mod tests {
                 continue;
             }
             any_dst_planted = true;
-            let dependent = select_dependent(snap, &scope, p, 0.01);
+            let dependent = select(snap, &scope, p, 0.01, false);
             if dependent.iter().any(|d| d.side == Side::Dst) {
                 any_dst_found = true;
                 break;
@@ -571,8 +730,8 @@ mod tests {
             );
         }
         let scope = Scope::whole(snap);
-        assert!(select_dependent(snap, &scope, p, 0.01).is_empty());
-        assert!(select_dependent_marginal(snap, &scope, p, 0.01).is_empty());
+        assert!(select(snap, &scope, p, 0.01, false).is_empty());
+        assert!(select(snap, &scope, p, 0.01, true).is_empty());
     }
 
     #[test]
@@ -581,8 +740,8 @@ mod tests {
         let snap = &net.snapshot;
         let scope = Scope::whole(snap);
         for p in snap.catalog.singular_ids().take(10) {
-            let loose = select_dependent_marginal(snap, &scope, p, 0.05).len();
-            let strict = select_dependent_marginal(snap, &scope, p, 0.0001).len();
+            let loose = select(snap, &scope, p, 0.05, true).len();
+            let strict = select(snap, &scope, p, 0.0001, true).len();
             assert!(strict <= loose, "{p}: strict {strict} > loose {loose}");
         }
     }
@@ -595,8 +754,8 @@ mod tests {
         let snap = &net.snapshot;
         let scope = Scope::whole(snap);
         for p in snap.catalog.singular_ids().take(5) {
-            let sel = select_dependent(snap, &scope, p, 0.01);
-            let marg = select_dependent_marginal(snap, &scope, p, 0.01);
+            let sel = select(snap, &scope, p, 0.01, false);
+            let marg = select(snap, &scope, p, 0.01, true);
             if let Some(first) = sel.first() {
                 assert!(marg.contains(first));
             }

@@ -40,7 +40,7 @@ pub use cf::{
     fit_worker_threads, Basis, CfConfig, CfModel, DeltaApply, DeltaFitReport, FitOptions,
     ModelLoadError, Recommendation, SharedKeyColumns,
 };
-pub use dependency::{select_dependent, PredictorAttr, Side};
+pub use dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 pub use mismatch::{label_for, MismatchLabel, MismatchReport};
 pub use recommend::{recommend_pairwise, recommend_singular, ConfigRecommendation, NewCarrier};
 pub use scope::Scope;

@@ -7,14 +7,32 @@
 //! generator seed, and fitting is order-stable regardless of the
 //! work-stealing schedule.
 
-use auric_core::dependency::{select_dependent, select_dependent_marginal, PredictorAttr, Side};
+use auric_core::dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 use auric_core::{CfConfig, CfModel, Scope};
-use auric_model::{ParamKind, Provenance};
+use auric_model::{AttrArena, NetworkSnapshot, ParamId, ParamKind, Provenance};
 use auric_netgen::rules::RuleAttr;
 use auric_netgen::{generate, GeneratedNetwork, NetScale, TuningKnobs};
+use auric_obs::Recorder;
 
 fn clean_network() -> GeneratedNetwork {
     generate(&NetScale::tiny(), &TuningKnobs::none())
+}
+
+/// Dependency selection at the paper's `alpha = 0.01`.
+fn select(
+    arena: &AttrArena,
+    snap: &NetworkSnapshot,
+    scope: &Scope,
+    param: ParamId,
+    marginal: bool,
+) -> Vec<PredictorAttr> {
+    let obs = Recorder::disabled();
+    let opts = SelectOptions {
+        alpha: 0.01,
+        marginal,
+        obs: &obs,
+    };
+    select_dependent(arena, snap, scope, param, &opts)
 }
 
 /// Whether a planted rule attribute and a selected predictor agree. The
@@ -41,6 +59,7 @@ fn conditional_selection_recovers_planted_dependencies() {
     let net = clean_network();
     let snap = &net.snapshot;
     let scope = Scope::whole(snap);
+    let arena = AttrArena::from_snapshot(snap);
     let mut planted_total = 0usize;
     let mut recovered = 0usize;
     let mut with_rule = 0usize;
@@ -51,7 +70,7 @@ fn conditional_selection_recovers_planted_dependencies() {
             continue;
         }
         with_rule += 1;
-        let dep = select_dependent(snap, &scope, def.id, 0.01);
+        let dep = select(&arena, snap, &scope, def.id, false);
         empty += usize::from(dep.is_empty());
         planted_total += rule.relevant.len();
         recovered += hits(&rule.relevant, &dep);
@@ -88,14 +107,15 @@ fn conditional_selection_is_sparser_than_marginal() {
     let net = clean_network();
     let snap = &net.snapshot;
     let scope = Scope::whole(snap);
+    let arena = AttrArena::from_snapshot(snap);
     let mut conditional_total = 0usize;
     let mut marginal_total = 0usize;
     let mut marginal_recovered = 0usize;
     let mut conditional_recovered = 0usize;
     let mut planted_total = 0usize;
     for def in snap.catalog.defs() {
-        let cond = select_dependent(snap, &scope, def.id, 0.01);
-        let marg = select_dependent_marginal(snap, &scope, def.id, 0.01);
+        let cond = select(&arena, snap, &scope, def.id, false);
+        let marg = select(&arena, snap, &scope, def.id, true);
         conditional_total += cond.len();
         marginal_total += marg.len();
         // Everything the conditional pass keeps is marginally associated
