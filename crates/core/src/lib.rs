@@ -42,5 +42,7 @@ pub use cf::{
 };
 pub use dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 pub use mismatch::{label_for, MismatchLabel, MismatchReport};
-pub use recommend::{recommend_pairwise, recommend_singular, ConfigRecommendation, NewCarrier};
+pub use recommend::{
+    recommend_pairwise, recommend_singular, ConfigRecommendation, NewCarrier, Rendered,
+};
 pub use scope::Scope;

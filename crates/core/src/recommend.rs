@@ -8,7 +8,8 @@
 //! adoption.
 
 use crate::cf::{Basis, CfModel, Recommendation};
-use auric_model::{AttrVec, CarrierId, NetworkSnapshot, ParamId};
+use crate::dependency::{PredictorAttr, Side};
+use auric_model::{AttrValue, AttrVec, CarrierId, NetworkSnapshot, ParamId};
 use auric_stats::freq::FreqTable;
 use serde::{Deserialize, Serialize};
 
@@ -20,12 +21,13 @@ pub struct NewCarrier {
     pub neighbors: Vec<CarrierId>,
 }
 
-/// One parameter's recommendation, with explanation material.
+/// One parameter's recommendation, with explanation material. Names are
+/// not stored: the record carries ids only, and
+/// [`ConfigRecommendation::render`] resolves them against the snapshot's
+/// catalog and schema when a human reads the answer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigRecommendation {
     pub param: ParamId,
-    /// The vendor-style parameter name.
-    pub name: String,
     /// Recommended grid index.
     pub value: auric_model::ValueIdx,
     /// Recommended concrete value on the parameter's grid.
@@ -34,9 +36,44 @@ pub struct ConfigRecommendation {
     /// Votes for the winner / total voters (0/0 for fallback bases).
     pub support: usize,
     pub voters: usize,
-    /// `(attribute name, level name)` pairs of the dependent attributes —
+    /// The dependent attributes with the level each was matched on —
     /// "carriers matching on these attributes voted for this value".
+    pub matched_on: Vec<(PredictorAttr, AttrValue)>,
+}
+
+/// A [`ConfigRecommendation`] with its ids resolved to display names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rendered<'a> {
+    /// The vendor-style parameter name.
+    pub name: &'a str,
+    /// `(attribute name, level name)` pairs of the dependent attributes;
+    /// neighbor-side attributes are prefixed `"neighbor "`.
     pub matched_on: Vec<(String, String)>,
+}
+
+impl ConfigRecommendation {
+    /// Resolves the parameter and the matched attributes and levels to
+    /// their names in `snapshot`'s catalog and schema.
+    pub fn render<'a>(&self, snapshot: &'a NetworkSnapshot) -> Rendered<'a> {
+        let matched_on = self
+            .matched_on
+            .iter()
+            .map(|&(pa, level)| {
+                let prefix = match pa.side {
+                    Side::Src => "",
+                    Side::Dst => "neighbor ",
+                };
+                (
+                    format!("{prefix}{}", snapshot.schema.def(pa.attr).name),
+                    snapshot.schema.level_name(pa.attr, level).to_string(),
+                )
+            })
+            .collect();
+        Rendered {
+            name: &snapshot.catalog.def(self.param).name,
+            matched_on,
+        }
+    }
 }
 
 /// Recommends every **singular** parameter for a new carrier. Local
@@ -233,7 +270,8 @@ fn known_neighbors(
         .collect()
 }
 
-/// Assembles the explanation record for one recommendation.
+/// Assembles the explanation record for one recommendation: ids only,
+/// rendered to names on demand by [`ConfigRecommendation::render`].
 fn explain(
     snapshot: &NetworkSnapshot,
     model: &CfModel,
@@ -242,33 +280,22 @@ fn explain(
     dst: Option<&AttrVec>,
     rec: Recommendation,
 ) -> ConfigRecommendation {
-    let def = snapshot.catalog.def(param);
-    let pc = model.param(param);
-    let matched_on = pc
+    let matched_on = model
+        .param(param)
         .dependent
         .iter()
-        .map(|pa| {
-            let (attrs, prefix) = match pa.side {
-                crate::dependency::Side::Src => (src, ""),
-                crate::dependency::Side::Dst => (
-                    dst.expect("pair-wise explanation needs neighbor attrs"),
-                    "neighbor ",
-                ),
+        .map(|&pa| {
+            let attrs = match pa.side {
+                Side::Src => src,
+                Side::Dst => dst.expect("pair-wise explanation needs neighbor attrs"),
             };
-            (
-                format!("{prefix}{}", snapshot.schema.def(pa.attr).name),
-                snapshot
-                    .schema
-                    .level_name(pa.attr, attrs.get(pa.attr))
-                    .to_string(),
-            )
+            (pa, attrs.get(pa.attr))
         })
         .collect();
     ConfigRecommendation {
         param,
-        name: def.name.clone(),
         value: rec.value,
-        concrete: def.range.value(rec.value),
+        concrete: snapshot.catalog.def(param).range.value(rec.value),
         basis: rec.basis,
         support: rec.support,
         voters: rec.voters,
@@ -309,7 +336,7 @@ mod tests {
             // Concrete value lies on the grid.
             let def = snap.catalog.def(r.param);
             assert_eq!(def.range.index_of(r.concrete), Some(r.value));
-            assert_eq!(r.name, def.name);
+            assert_eq!(r.render(&snap).name, def.name);
         }
     }
 
@@ -342,7 +369,7 @@ mod tests {
         // Neighbor-side dependent attributes are labeled as such.
         let any_neighbor_attr = recs
             .iter()
-            .flat_map(|r| &r.matched_on)
+            .flat_map(|r| r.render(&snap).matched_on)
             .any(|(name, _)| name.starts_with("neighbor "));
         assert!(
             any_neighbor_attr,
@@ -375,7 +402,7 @@ mod tests {
             assert!(
                 (r.value as usize) < def.range.n_values(),
                 "{} off grid",
-                r.name
+                def.name
             );
         }
     }
@@ -481,5 +508,78 @@ mod tests {
         };
         let recs = recommend_singular(&snap, &model, &nc);
         assert!(recs.iter().all(|r| r.basis != Basis::LocalVote));
+    }
+
+    /// The string-building explanation the records carried before they
+    /// went id-only: the oracle [`ConfigRecommendation::render`] must
+    /// reproduce exactly.
+    fn explain_oracle(
+        snapshot: &NetworkSnapshot,
+        model: &CfModel,
+        param: ParamId,
+        src: &AttrVec,
+        dst: Option<&AttrVec>,
+    ) -> (String, Vec<(String, String)>) {
+        let def = snapshot.catalog.def(param);
+        let pc = model.param(param);
+        let matched_on = pc
+            .dependent
+            .iter()
+            .map(|pa| {
+                let (attrs, prefix) = match pa.side {
+                    crate::dependency::Side::Src => (src, ""),
+                    crate::dependency::Side::Dst => (
+                        dst.expect("pair-wise explanation needs neighbor attrs"),
+                        "neighbor ",
+                    ),
+                };
+                (
+                    format!("{prefix}{}", snapshot.schema.def(pa.attr).name),
+                    snapshot
+                        .schema
+                        .level_name(pa.attr, attrs.get(pa.attr))
+                        .to_string(),
+                )
+            })
+            .collect();
+        (def.name.clone(), matched_on)
+    }
+
+    #[test]
+    fn render_matches_the_string_building_oracle() {
+        let (snap, model) = setup();
+        let (mut singular, mut pairwise, mut src, mut dst) = (0usize, 0usize, 0usize, 0usize);
+        for c in (0..snap.n_carriers())
+            .step_by(7)
+            .map(|i| CarrierId(i as u32))
+        {
+            let nc = clone_of(&snap, c);
+            let mut check = |recs: &[ConfigRecommendation], neighbor: Option<CarrierId>| {
+                let dst_attrs = neighbor.map(|n| &snap.carrier(n).attrs);
+                for r in recs {
+                    let rendered = r.render(&snap);
+                    let (name, matched_on) =
+                        explain_oracle(&snap, &model, r.param, &nc.attrs, dst_attrs);
+                    assert_eq!(rendered.name, name);
+                    assert_eq!(rendered.matched_on, matched_on, "{name} for {c}");
+                    for (pa, _) in &r.matched_on {
+                        match pa.side {
+                            Side::Src => src += 1,
+                            Side::Dst => dst += 1,
+                        }
+                    }
+                }
+                recs.len()
+            };
+            singular += check(&recommend_singular(&snap, &model, &nc), None);
+            if let Some(&n) = nc.neighbors.first() {
+                pairwise += check(&recommend_pairwise(&snap, &model, &nc, n), Some(n));
+            }
+        }
+        assert!(
+            singular >= 39 && pairwise >= 26,
+            "every parameter kind covered"
+        );
+        assert!(src > 0 && dst > 0, "both pair sides covered");
     }
 }

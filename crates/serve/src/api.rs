@@ -3,8 +3,10 @@
 //! Time is simulated microseconds throughout: requests carry their
 //! submission instant and an absolute deadline, and every latency the
 //! service reports is virtual. That keeps load tests deterministic — the
-//! same seed produces byte-identical reports — while the real worker
-//! threads still execute every admitted request.
+//! same seed produces byte-identical reports — while every admitted
+//! request is still really executed, on the caller's thread.
+
+use std::sync::Arc;
 
 use auric_core::recommend::{ConfigRecommendation, NewCarrier};
 use auric_model::{CarrierId, MarketId};
@@ -152,8 +154,11 @@ impl DegradeReason {
 /// The answer payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Body {
-    /// Per-parameter recommendations (cold-start, pairwise, singular).
-    Recommendations(Vec<ConfigRecommendation>),
+    /// Per-parameter recommendations (cold-start, pairwise, singular),
+    /// shared: a cache hit, a coalesced batch-mate and the cache entry
+    /// all hold the lead's one allocation. Records carry ids only;
+    /// [`ConfigRecommendation::render`] turns them into names.
+    Recommendations(Arc<[ConfigRecommendation]>),
     /// Simulated KPI health in `[0, 1]`; `None` when the cached report
     /// does not cover the carrier (the answer is then degraded).
     KpiHealth(Option<f64>),

@@ -28,7 +28,7 @@ use crate::probe::ProbeKey;
 /// Outcome of a cache probe.
 #[derive(Debug)]
 pub enum CacheLookup {
-    /// A same-epoch body; serve it without touching the worker.
+    /// A same-epoch body; serve it without a model lookup.
     Hit(Body),
     /// Nothing stored for this probe.
     Miss,

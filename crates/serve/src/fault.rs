@@ -14,9 +14,9 @@ pub struct ShardFaultRates {
     /// Per admitted request: virtual service time is multiplied by the
     /// spike factor (queue pressure + deadline pressure downstream).
     pub latency_spike: f64,
-    /// Per admitted request: the worker's primary path panics once; the
-    /// per-request `catch_unwind` must contain it and the fallback chain
-    /// must still answer.
+    /// Per admitted request: the primary path panics once on the
+    /// calling thread; the per-request `catch_unwind` must contain it
+    /// and the fallback chain must still answer.
     pub worker_panic: f64,
     /// Per successful refit: the swapped-in model is poisoned — every
     /// primary-path call panics until the shard restarts.
@@ -113,7 +113,7 @@ pub(crate) fn draw_refit_faults(rng: &mut impl RngExt, rates: &ShardFaultRates) 
     }
 }
 
-/// The payload type of every *injected* worker panic. The process panic
+/// The payload type of every *injected* panic. The process panic
 /// hook is taught to stay silent for this payload only, so chaos runs
 /// don't spray backtraces while genuine panics still report normally.
 #[derive(Debug, Clone, Copy)]

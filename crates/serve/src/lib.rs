@@ -9,27 +9,32 @@
 //!   request that cannot start in time is shed *before any shard work*.
 //! - **Load shedding** — bounded per-shard virtual queues reject with a
 //!   typed `Overloaded` instead of queueing unboundedly.
-//! - **Panic containment** — every worker call runs under
-//!   `catch_unwind`; a panic degrades the answer (fallback chain
-//!   pairwise → singular → market mode), never loses it. Repeated
-//!   panics trip the shard to Degraded and schedule a restart.
+//! - **Panic containment** — every model lookup runs under
+//!   `catch_unwind` on the caller's thread; a panic degrades the answer
+//!   (fallback chain pairwise → singular → market mode), never loses it
+//!   or the thread. Repeated panics trip the shard to Degraded and
+//!   schedule a restart.
 //! - **Circuit breaking** — consecutive primary-path failures open a
 //!   seeded breaker that half-opens on a simulated-time cooldown with
 //!   deterministic jitter.
 //! - **Hot refit** — each shard's model is an `Arc` swapped under a
 //!   lock; a refitting, degraded, or poisoned shard serves the stale
-//!   model rather than erroring.
+//!   model rather than erroring, and a delta refit that another refit
+//!   overtook is refused rather than undoing it.
 //! - **Batched hot path** — admission resolves each request once into a
 //!   packed-key [`ProbeKey`]; a batch coalesces duplicate probes into
-//!   one worker dispatch (leads sorted by packed key), and a bounded
+//!   one model lookup (leads sorted by packed key), and a bounded
 //!   per-shard [`ResponseCache`] serves repeats, validated against a
 //!   model epoch bumped on every refit swap so stale bodies never
-//!   serve.
+//!   serve. Answers carry ids, not names, and share one `Arc` body
+//!   between a lead, its batch-mates and the cache.
 //!
 //! Everything is driven by simulated time and seeded fault plans
 //! ([`ShardFaultPlan`], mirroring `auric_ems::fault`), so the
 //! `bench_serve` load generator produces byte-identical chaos reports
-//! across same-seed runs. No async runtime: plain threads and channels.
+//! across same-seed runs. No async runtime and no threads of its own:
+//! each request executes on the thread that calls the service, between
+//! two short critical sections on its shard's control mutex.
 
 pub mod api;
 pub mod breaker;

@@ -32,8 +32,9 @@ pub struct ServiceStats {
     pub shards: Vec<ShardStats>,
 }
 
-/// The sharded recommendation service. One shard (model + worker
-/// thread + admission state) per market; requests route by market id.
+/// The sharded recommendation service. One shard (model + admission
+/// state) per market; requests route by market id and execute on the
+/// calling thread, so the service owns no threads.
 pub struct Service {
     shards: Vec<Shard>,
     /// `market id → index into shards`, dense.
@@ -156,8 +157,9 @@ impl Service {
     /// invariants. Shards share one key-column cache for the batch, so
     /// fleet-wide spliced columns are built once, not per market. Each
     /// shard's seeded refit fault stream still applies — a shard that
-    /// draws a failure keeps its old pair and reports the error in its
-    /// result slot.
+    /// draws a failure, or that a concurrent refit overtook
+    /// ([`RefitError::Superseded`]), keeps its current pair and reports
+    /// the error in its result slot.
     pub fn refit_delta(
         &self,
         snapshot: &Arc<NetworkSnapshot>,
@@ -234,8 +236,8 @@ impl Service {
             if shard.dispatched + shard.cache_hits + shard.coalesced != shard.admitted {
                 violations.push(format!(
                     "market {}: {} executed + {} cache hits + {} coalesced != {} admitted \
-                     (every admitted request is served exactly once — by the worker, \
-                     the cache, or a coalesced batch-mate; shed/rejected do no work)",
+                     (every admitted request is served exactly once — by a model \
+                     lookup, the cache, or a coalesced batch-mate; shed/rejected do no work)",
                     shard.market,
                     shard.dispatched,
                     shard.cache_hits,
@@ -270,10 +272,7 @@ impl Service {
         violations
     }
 
-    /// Joins every shard's worker thread.
-    pub fn shutdown(mut self) {
-        for shard in &mut self.shards {
-            shard.shutdown();
-        }
-    }
+    /// Drops the service. Shards own no threads (requests execute on
+    /// the caller's thread), so there is nothing to join.
+    pub fn shutdown(self) {}
 }

@@ -1,34 +1,42 @@
-//! One per-market model shard: an `Arc`-swappable CF model behind a
-//! worker thread, a virtual-time admission queue, a panic-containment
-//! boundary, and the Warming → Ready → Degraded → Draining state
-//! machine.
+//! One per-market model shard: an `Arc`-swappable `(snapshot, model)`
+//! pair, a virtual-time admission queue, a panic-containment boundary,
+//! and the Warming → Ready → Degraded → Draining state machine.
+//!
+//! ## Execution model
+//!
+//! A shard owns no thread. The caller's thread runs each batch in three
+//! phases: admission and classification under the shard's control
+//! mutex, execution of the leads with no lock held, and settlement
+//! under the control mutex again. Execution runs against the
+//! `(snapshot, model)` pair pinned in phase 1, each lead under its own
+//! `catch_unwind`, so a panic degrades that one answer and the calling
+//! thread carries on. Concurrent callers of one shard execute in
+//! parallel; only admission and settlement serialize.
 //!
 //! ## Determinism model
 //!
 //! Admission control runs entirely in *virtual* time: each request
-//! carries its simulated submission instant, the shard tracks when its
-//! single worker would finish each admitted request, and queue depth /
-//! deadline / breaker decisions are made from that state under the
-//! shard's control mutex. Fault draws happen at admission, in admission
-//! order, from a per-shard seeded stream. As long as each market's
-//! requests are submitted in `submitted_us` order (one client thread per
-//! market in the load generator), every admission decision — and hence
-//! the whole chaos report — is a pure function of (snapshot, models,
-//! schedule, fault plan seed). The worker thread still *really executes*
-//! every admitted request, with a per-request `catch_unwind`, so panic
-//! containment and `Arc` hot-swaps are exercised for real; its results
-//! are deterministic because the model and inputs are.
+//! carries its simulated submission instant, the shard tracks when a
+//! single virtual server would finish each admitted request, and queue
+//! depth / deadline / breaker decisions are made from that state under
+//! the shard's control mutex. Fault draws happen at admission, in
+//! admission order, from a per-shard seeded stream. As long as each
+//! market's requests are submitted in `submitted_us` order (one client
+//! thread per market in the load generator), every admission decision —
+//! and hence the whole chaos report — is a pure function of (snapshot,
+//! models, schedule, fault plan seed). Every admitted lead is still
+//! *really executed*, so panic containment and `Arc` hot-swaps are
+//! exercised for real; its results are deterministic because the model
+//! and inputs are.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 use auric_core::recommend::{recommend_pairwise, recommend_singular, ConfigRecommendation};
-use auric_core::{CfModel, DeltaApply, DeltaFitReport, Scope, SharedKeyColumns};
+use auric_core::{CfModel, DeltaApply, DeltaFitReport, Recommendation, Scope, SharedKeyColumns};
 use auric_kpi::report::KpiReport;
-use auric_model::{AppliedBatch, AttrArena, MarketId, NetworkSnapshot, ParamKind};
+use auric_model::{AppliedBatch, AttrArena, MarketId, NetworkSnapshot, ParamDef, ParamKind};
 use auric_obs::Recorder;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -51,9 +59,11 @@ pub struct ServiceCosts {
     pub pairwise_us: u64,
     pub singular_us: u64,
     pub kpi_us: u64,
-    /// Cost of serving straight from the response cache (no worker).
+    /// Cost of serving straight from the response cache (no model
+    /// lookup).
     pub cache_hit_us: u64,
-    /// Cost of fanning a coalesced batch-mate's answer out (no worker).
+    /// Cost of fanning a coalesced batch-mate's answer out (no model
+    /// lookup).
     pub coalesced_us: u64,
     /// A latency-spike fault multiplies the request's cost by this.
     pub spike_factor: u64,
@@ -133,6 +143,10 @@ pub enum RefitError {
     /// The serialized model failed to load (see
     /// [`auric_core::ModelLoadError`]); the stale model stays.
     Load(auric_core::ModelLoadError),
+    /// Another refit swapped the shard's model while this delta refit
+    /// rolled its base forward; swapping now would silently undo that
+    /// refit, so the current pair stays.
+    Superseded,
 }
 
 impl std::fmt::Display for RefitError {
@@ -141,6 +155,10 @@ impl std::fmt::Display for RefitError {
             RefitError::UnknownMarket => write!(f, "refit addressed an unknown market"),
             RefitError::Injected => write!(f, "refit failed (injected fault); stale model kept"),
             RefitError::Load(e) => write!(f, "refit model rejected: {e}; stale model kept"),
+            RefitError::Superseded => write!(
+                f,
+                "delta refit superseded by a concurrent refit; current model kept"
+            ),
         }
     }
 }
@@ -169,7 +187,7 @@ impl RejectionCounts {
 pub struct ShardStats {
     pub market: u16,
     pub state: ShardState,
-    /// Requests past admission control (exactly these reach the worker).
+    /// Requests past admission control (exactly these get an answer).
     pub admitted: u64,
     /// First-class answers.
     pub answered: u64,
@@ -184,7 +202,8 @@ pub struct ShardStats {
     pub refits_failed: u64,
     /// Model swaps since construction (initial model is epoch 0).
     pub model_epoch: u64,
-    /// Jobs the worker thread actually executed. The chaos invariant
+    /// Leads executed against the model on the calling thread (counted
+    /// at settlement). The chaos invariant
     /// `dispatched + cache_hits + coalesced == admitted` proves
     /// shed/rejected requests did no shard work and every admitted
     /// request was either executed once, served from cache, or fanned
@@ -203,12 +222,17 @@ pub struct ShardStats {
 /// Mutable shard control state, all under one mutex so admission
 /// decisions and post-completion accounting are serialized per shard.
 struct ShardCtl {
+    /// The fleet this shard serves against, swapped together with the
+    /// model by [`Shard::refit_delta`] (streaming ingestion). Plain
+    /// [`Shard::refit`] leaves it in place.
+    snapshot: Arc<NetworkSnapshot>,
+    model: Arc<CfModel>,
     state: ShardState,
     warm_until_us: u64,
     restart_at_us: Option<u64>,
     poisoned: bool,
     panics_since_restart: u32,
-    /// Virtual instant the worker finishes its last admitted request.
+    /// Virtual instant the shard finishes its last admitted request.
     virtual_done_us: u64,
     /// Virtual completion instants of admitted, unfinished requests.
     inflight: VecDeque<u64>,
@@ -227,43 +251,41 @@ struct ShardCtl {
     refits_ok: u64,
     refits_failed: u64,
     model_epoch: u64,
+    dispatched: u64,
     cache_hits: u64,
     coalesced: u64,
     busy_us: u64,
     restarts: u64,
 }
 
-/// What the admission decided for an admitted request.
-struct Admission {
-    /// Virtual completion instant.
-    done_us: u64,
-    /// Serve mode the worker should use.
-    mode: ServeMode,
-    /// State that serves the request (for the answer + histograms).
-    state: ShardState,
-}
-
 /// Where one batched request goes after admission + classification.
 enum Disposition {
     /// A typed rejection, already counted at admission.
     Reject(Rejection),
-    /// Served from the response cache: no worker dispatch at all.
-    CacheHit {
+    /// Admitted and booked; answered as `class` says.
+    Admitted {
+        /// Virtual completion instant.
         done_us: u64,
+        /// State that serves the request (for the answer + histograms).
         state: ShardState,
-        body: Body,
+        class: Class,
     },
+}
+
+/// How an admitted request is answered. Only Ready-state primary service
+/// without an injected or poisoned panic is eligible for the cache and
+/// for coalescing: a drawn panic must really fire (fault parity), and
+/// market-mode answers are degraded state, not lookups.
+enum Class {
+    /// Served from the response cache: no model lookup at all.
+    Hit(Body),
     /// Coalesced onto the lead at `reqs[lead]` (same probe, same batch):
     /// the lead's answer fans out here.
-    Member {
-        lead: usize,
-        done_us: u64,
-        state: ShardState,
-    },
-    /// Executes on the worker. `key` is `Some` for cacheable lookups
-    /// (Ready-state primary service, no injected/poisoned panic).
+    Member(usize),
+    /// Executes against the model. `key` is `Some` for cacheable
+    /// lookups.
     Lead {
-        admission: Admission,
+        mode: ServeMode,
         key: Option<ProbeKey>,
     },
 }
@@ -276,19 +298,8 @@ enum ServeMode {
     MarketMode(DegradeReason),
 }
 
-/// One unit of worker work. Carries the `(snapshot, model)` pair read
-/// under the control mutex at admission, so the whole batch — probe
-/// resolution, execution, and cache tagging — sees one consistent epoch
-/// even if a refit swaps the shard's snapshot or model mid-flight.
-struct Job {
-    kind: RequestKind,
-    mode: ServeMode,
-    snapshot: Arc<NetworkSnapshot>,
-    model: Arc<CfModel>,
-    reply: mpsc::SyncSender<WorkerReply>,
-}
-
-struct WorkerReply {
+/// What executing one lead produced.
+struct LeadReply {
     body: Body,
     degraded: bool,
     reason: Option<DegradeReason>,
@@ -299,19 +310,23 @@ struct WorkerReply {
 /// A per-market shard. Construct via the service.
 pub struct Shard {
     market: MarketId,
-    /// The fleet this shard serves against, `Arc`-swapped together with
-    /// the model by [`Shard::refit_delta`] (streaming ingestion). Plain
-    /// [`Shard::refit`] leaves it in place.
-    snapshot: RwLock<Arc<NetworkSnapshot>>,
-    model: Arc<RwLock<Arc<CfModel>>>,
+    /// The KPI report, pinned to the construction-time fleet:
+    /// re-simulating KPIs per ingested batch is the KPI pipeline's job,
+    /// not the serving path's.
+    kpi: Arc<Option<KpiReport>>,
     config: ShardConfig,
     plan: ShardFaultPlan,
     ctl: Mutex<ShardCtl>,
-    tx: Option<mpsc::Sender<Job>>,
-    worker: Option<JoinHandle<()>>,
-    /// Jobs the worker actually executed (the "shard work" ledger).
-    dispatched: Arc<AtomicU64>,
     obs: Recorder,
+}
+
+/// The `(snapshot, model, epoch)` triple read in one control-lock
+/// critical section: what a batch executes against and what a delta
+/// refit rolls forward from.
+struct Pinned {
+    snapshot: Arc<NetworkSnapshot>,
+    model: Arc<CfModel>,
+    epoch: u64,
 }
 
 fn mix_seed(seed: u64, market: u16, stream: u64) -> u64 {
@@ -321,9 +336,8 @@ fn mix_seed(seed: u64, market: u16, stream: u64) -> u64 {
 }
 
 impl Shard {
-    /// Builds the shard and starts its worker thread. The shard begins
-    /// Warming and becomes Ready once `config.warmup_us` of simulated
-    /// time has passed.
+    /// Builds the shard. It begins Warming and becomes Ready once
+    /// `config.warmup_us` of simulated time has passed.
     pub fn new(
         market: MarketId,
         snapshot: Arc<NetworkSnapshot>,
@@ -334,15 +348,10 @@ impl Shard {
         obs: Recorder,
     ) -> Self {
         crate::fault::silence_injected_panics();
-        let model = Arc::new(RwLock::new(Arc::new(model)));
-        let dispatched = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = mpsc::channel::<Job>();
-        let worker = {
-            let dispatched = Arc::clone(&dispatched);
-            std::thread::spawn(move || worker_loop(rx, kpi, dispatched))
-        };
         let m = market.0;
         let ctl = ShardCtl {
+            snapshot,
+            model: Arc::new(model),
             state: ShardState::Warming,
             warm_until_us: config.warmup_us,
             restart_at_us: None,
@@ -363,6 +372,7 @@ impl Shard {
             refits_ok: 0,
             refits_failed: 0,
             model_epoch: 0,
+            dispatched: 0,
             cache_hits: 0,
             coalesced: 0,
             busy_us: 0,
@@ -370,16 +380,16 @@ impl Shard {
         };
         Self {
             market,
-            snapshot: RwLock::new(snapshot),
-            model,
+            kpi,
             config,
             plan,
             ctl: Mutex::new(ctl),
-            tx: Some(tx),
-            worker: Some(worker),
-            dispatched,
             obs,
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, ShardCtl> {
+        self.ctl.lock().expect("shard ctl poisoned")
     }
 
     pub fn market(&self) -> MarketId {
@@ -388,13 +398,23 @@ impl Shard {
 
     /// The current model `Arc` (hot-swapped by refits).
     pub fn model(&self) -> Arc<CfModel> {
-        Arc::clone(&self.model.read().expect("model lock poisoned"))
+        Arc::clone(&self.lock().model)
     }
 
     /// The fleet snapshot this shard currently serves against
     /// (hot-swapped by [`Shard::refit_delta`]).
     pub fn snapshot(&self) -> Arc<NetworkSnapshot> {
-        Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
+        Arc::clone(&self.lock().snapshot)
+    }
+
+    /// The current `(snapshot, model, epoch)` triple: refits swap all
+    /// three in one critical section, so they are mutually consistent.
+    fn pinned(ctl: &ShardCtl) -> Pinned {
+        Pinned {
+            snapshot: Arc::clone(&ctl.snapshot),
+            model: Arc::clone(&ctl.model),
+            epoch: ctl.model_epoch,
+        }
     }
 
     /// Serves one request end to end: a batch of one. A single request
@@ -405,14 +425,15 @@ impl Shard {
             .expect("one request, one terminal outcome")
     }
 
-    /// Serves a batch end to end: deterministic admission +
-    /// classification under the control mutex, one worker dispatch per
-    /// *distinct* lookup (sorted by packed key so the frozen vote groups
-    /// are scanned as sequential runs), then deterministic settlement
-    /// that fans each lead's answer out to its coalesced batch-mates.
-    /// Outcomes come back in input order, one per request. Callers must
-    /// present one market's requests in non-decreasing `submitted_us`
-    /// order; batches longer than `config.max_batch` are split.
+    /// Serves a batch end to end on the calling thread: deterministic
+    /// admission + classification under the control mutex, one model
+    /// lookup per *distinct* lead (sorted by packed key so the frozen
+    /// vote groups are scanned as sequential runs), then deterministic
+    /// settlement that fans each lead's answer out to its coalesced
+    /// batch-mates. Outcomes come back in input order, one per request.
+    /// Callers must present one market's requests in non-decreasing
+    /// `submitted_us` order; batches longer than `config.max_batch` are
+    /// split.
     pub fn call_batch(&self, reqs: &[Request]) -> Vec<Result<Answer, Rejection>> {
         let mut out = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(self.config.max_batch.max(1)) {
@@ -423,156 +444,124 @@ impl Shard {
 
     fn serve_chunk(&self, reqs: &[Request], out: &mut Vec<Result<Answer, Rejection>>) {
         // Phase 1 (ctl lock): admission, fault draws, classification.
-        // The snapshot and model Arcs and the epoch are read together
-        // under the lock — refits swap them in one critical section — so
-        // every probe in this batch resolves against one consistent
-        // (snapshot, model, epoch) triple.
-        let (snapshot, model, epoch, dispositions) = {
-            let mut ctl = self.ctl.lock().expect("shard ctl poisoned");
-            let snapshot = Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"));
-            let model = Arc::clone(&self.model.read().expect("model lock poisoned"));
-            let epoch = ctl.model_epoch;
+        // The snapshot, model and epoch are read together under the lock
+        // — refits swap them in one critical section — so every probe in
+        // this batch resolves against one consistent triple.
+        let (pinned, dispositions) = {
+            let mut ctl = self.lock();
+            let pinned = Self::pinned(&ctl);
             let mut seen: HashMap<ProbeKey, usize> = HashMap::new();
             let dispositions: Vec<Disposition> = reqs
                 .iter()
                 .enumerate()
-                .map(|(i, req)| {
-                    self.admit_classify(&mut ctl, req, &snapshot, &model, epoch, &mut seen, i)
-                })
+                .map(|(i, req)| self.admit_classify(&mut ctl, req, &pinned, &mut seen, i))
                 .collect();
-            let n_admitted = dispositions
-                .iter()
-                .filter(|d| !matches!(d, Disposition::Reject(_)))
-                .count() as u64;
-            let n_leads = dispositions
-                .iter()
-                .filter(|d| matches!(d, Disposition::Lead { .. }))
-                .count() as u64;
-            if n_admitted > 0 {
-                self.obs.observe("serve.batch.size", n_admitted);
-                self.obs.observe("serve.batch.groups", n_leads);
-            }
-            (snapshot, model, epoch, dispositions)
+            (pinned, dispositions)
         };
+        let lead = |i: usize| match &dispositions[i] {
+            Disposition::Admitted {
+                class: Class::Lead { mode, key },
+                ..
+            } => Some((*mode, key.as_ref())),
+            _ => None,
+        };
+        let n_admitted = dispositions
+            .iter()
+            .filter(|d| matches!(d, Disposition::Admitted { .. }))
+            .count();
+        let mut lead_order: Vec<usize> = (0..reqs.len()).filter(|&i| lead(i).is_some()).collect();
+        if n_admitted > 0 {
+            self.obs.observe("serve.batch.size", n_admitted as u64);
+            self.obs
+                .observe("serve.batch.groups", lead_order.len() as u64);
+        }
 
-        // Phase 2 (no locks): dispatch the leads, sorted by probe key so
-        // equal-prefix packed keys land on the worker back to back, and
-        // collect their replies. Each lead gets its own reply channel;
-        // the single worker executes in dispatch order.
-        let mut lead_order: Vec<usize> = dispositions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| matches!(d, Disposition::Lead { .. }).then_some(i))
-            .collect();
-        lead_order.sort_by(|&a, &b| {
-            let key_of = |i: usize| match &dispositions[i] {
-                Disposition::Lead { key, .. } => key.as_ref(),
-                _ => unreachable!("lead_order holds leads only"),
-            };
-            match (key_of(a), key_of(b)) {
-                (Some(ka), Some(kb)) => ka.cmp(kb).then(a.cmp(&b)),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => a.cmp(&b),
-            }
+        // Phase 2 (no locks): execute the leads on this thread against
+        // the pinned pair, keyed leads first in probe-key order so
+        // equal-prefix packed keys are looked up back to back.
+        lead_order.sort_by_key(|&i| {
+            let key = lead(i).and_then(|(_, key)| key);
+            (key.is_none(), key, i)
         });
-        let mut replies: Vec<Option<WorkerReply>> = reqs.iter().map(|_| None).collect();
-        let rxs: Vec<(usize, mpsc::Receiver<WorkerReply>)> = lead_order
-            .iter()
-            .map(|&i| {
-                let Disposition::Lead { admission, .. } = &dispositions[i] else {
-                    unreachable!("lead_order holds leads only");
-                };
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                self.tx
-                    .as_ref()
-                    .expect("shard already shut down")
-                    .send(Job {
-                        kind: reqs[i].kind.clone(),
-                        mode: admission.mode,
-                        snapshot: Arc::clone(&snapshot),
-                        model: Arc::clone(&model),
-                        reply: reply_tx,
-                    })
-                    .expect("shard worker gone");
-                (i, reply_rx)
-            })
-            .collect();
-        for (i, rx) in rxs {
-            replies[i] = Some(rx.recv().expect("shard worker dropped the reply"));
+        let mut replies: Vec<Option<LeadReply>> = reqs.iter().map(|_| None).collect();
+        for i in lead_order {
+            let (mode, _) = lead(i).expect("lead_order holds leads only");
+            replies[i] = Some(serve_job(
+                &pinned.snapshot,
+                &pinned.model,
+                self.kpi.as_ref().as_ref(),
+                &reqs[i].kind,
+                mode,
+            ));
         }
 
         // Phase 3 (ctl lock): settle in input order, fan out, cache.
-        let n_admitted = dispositions
-            .iter()
-            .filter(|d| !matches!(d, Disposition::Reject(_)))
-            .count();
-        let mut ctl = self.ctl.lock().expect("shard ctl poisoned");
-        for (i, req) in reqs.iter().enumerate() {
-            let outcome = match &dispositions[i] {
-                Disposition::Reject(r) => Err(*r),
-                Disposition::CacheHit {
+        // Bodies are shared `Arc`s: fan-out and cache inserts copy none.
+        let mut ctl = self.lock();
+        for (i, (req, disposition)) in reqs.iter().zip(&dispositions).enumerate() {
+            let (done_us, state, class) = match disposition {
+                Disposition::Reject(r) => {
+                    out.push(Err(*r));
+                    continue;
+                }
+                Disposition::Admitted {
                     done_us,
                     state,
-                    body,
-                } => {
-                    let (degraded, reason) = degrade_from_body(&req.kind, body);
-                    self.count_answer(&mut ctl, degraded);
+                    class,
+                } => (*done_us, *state, class),
+            };
+            let (degraded, reason, body) = match class {
+                Class::Hit(body) => {
                     // A cache hit is a primary-path success: the cached
                     // body was computed by a successful primary serve of
                     // this same probe under this same epoch.
-                    let was_half_open = ctl.breaker.state() == BreakerState::HalfOpen;
-                    ctl.breaker.on_success();
-                    if was_half_open {
-                        self.obs.inc("serve.breaker.closed");
-                    }
-                    Ok(self.answer(req, *done_us, *state, degraded, reason, body.clone()))
+                    let (degraded, reason) = degrade_from_body(&req.kind, body);
+                    self.count_answer(&mut ctl, degraded);
+                    self.breaker_success(&mut ctl);
+                    (degraded, reason, body.clone())
                 }
-                Disposition::Member {
-                    lead,
-                    done_us,
-                    state,
-                } => {
-                    let r = replies[*lead].as_ref().expect("lead executed");
+                Class::Member(lead) => {
                     // The lead owns the breaker feedback and any
                     // contained-panic accounting; members only share the
                     // answer (degraded status included).
+                    let r = replies[*lead].as_ref().expect("lead executed");
                     self.count_answer(&mut ctl, r.degraded);
-                    Ok(self.answer(req, *done_us, *state, r.degraded, r.reason, r.body.clone()))
+                    (r.degraded, r.reason, r.body.clone())
                 }
-                Disposition::Lead { admission, key } => {
-                    // `as_ref`, not `take`: members settle after their
+                Class::Lead { mode, key } => {
+                    // Borrowed, not taken: members settle after their
                     // lead (input order) and still need the reply.
                     let r = replies[i].as_ref().expect("lead executed");
-                    self.settle(&mut ctl, req, admission, r);
+                    ctl.dispatched += 1;
+                    self.settle(&mut ctl, req.submitted_us, *mode, r);
                     // Cache only clean primary bodies, and only if the
                     // epoch this batch resolved under is still current —
                     // a refit mid-batch cleared the cache and bumped the
                     // epoch, and a stale insert would just waste a slot
                     // (epoch validation would refuse to serve it).
                     if let Some(key) = key {
-                        if !r.panicked && ctl.model_epoch == epoch {
-                            let evicted = ctl.cache.insert(key.clone(), epoch, r.body.clone());
+                        if !r.panicked && ctl.model_epoch == pinned.epoch {
+                            let evicted =
+                                ctl.cache.insert(key.clone(), pinned.epoch, r.body.clone());
                             self.obs.inc("serve.cache.insert");
                             if evicted {
                                 self.obs.inc("serve.cache.evict");
                             }
                         }
                     }
-                    Ok(self.answer(
-                        req,
-                        admission.done_us,
-                        admission.state,
-                        r.degraded,
-                        r.reason,
-                        r.body.clone(),
-                    ))
+                    (r.degraded, r.reason, r.body.clone())
                 }
             };
-            if let Ok(a) = &outcome {
-                self.observe_latency(a.state, a.latency_us, n_admitted);
-            }
-            out.push(outcome);
+            let latency_us = done_us - req.submitted_us;
+            self.observe_latency(state, latency_us, n_admitted);
+            out.push(Ok(Answer {
+                id: req.id,
+                degraded,
+                reason,
+                state,
+                latency_us,
+                body,
+            }));
         }
     }
 
@@ -581,14 +570,11 @@ impl Shard {
     /// requests draw their faults (admission order = stream order,
     /// batched or not), get classified as cache hit / coalesced member /
     /// lead, and book their class's virtual cost.
-    #[allow(clippy::too_many_arguments)]
     fn admit_classify(
         &self,
         ctl: &mut ShardCtl,
         req: &Request,
-        snapshot: &NetworkSnapshot,
-        model: &CfModel,
-        epoch: u64,
+        pinned: &Pinned,
         seen: &mut HashMap<ProbeKey, usize>,
         idx: usize,
     ) -> Disposition {
@@ -653,18 +639,6 @@ impl Shard {
         }
         let state = ctl.state;
 
-        // Classification. Only Ready-state primary service without an
-        // injected or poisoned panic is eligible for the cache and for
-        // coalescing: a drawn panic must really fire (fault parity),
-        // and market-mode answers are degraded state, not lookups.
-        enum Class {
-            Hit(Body),
-            Member(usize),
-            Lead {
-                mode: ServeMode,
-                key: Option<ProbeKey>,
-            },
-        }
         let class = match state {
             ShardState::Warming => Class::Lead {
                 mode: ServeMode::MarketMode(DegradeReason::Warming),
@@ -693,13 +667,13 @@ impl Shard {
                         inject_panic: false,
                         poisoned: false,
                     };
-                    match probe::resolve(model, snapshot, &req.kind) {
+                    match probe::resolve(&pinned.model, &pinned.snapshot, &req.kind) {
                         None => {
                             self.obs.inc("serve.cache.unresolved");
                             Class::Lead { mode, key: None }
                         }
                         Some(key) => {
-                            let looked_up = ctl.cache.get(&key, epoch);
+                            let looked_up = ctl.cache.get(&key, pinned.epoch);
                             if matches!(looked_up, CacheLookup::Stale) {
                                 self.obs.inc("serve.cache.invalidated");
                             }
@@ -748,26 +722,10 @@ impl Shard {
         ctl.busy_us += cost;
         ctl.admitted += 1;
         self.obs.inc("serve.admitted");
-
-        match class {
-            Class::Hit(body) => Disposition::CacheHit {
-                done_us,
-                state,
-                body,
-            },
-            Class::Member(lead) => Disposition::Member {
-                lead,
-                done_us,
-                state,
-            },
-            Class::Lead { mode, key } => Disposition::Lead {
-                admission: Admission {
-                    done_us,
-                    mode,
-                    state,
-                },
-                key,
-            },
+        Disposition::Admitted {
+            done_us,
+            state,
+            class,
         }
     }
 
@@ -782,22 +740,12 @@ impl Shard {
         }
     }
 
-    fn answer(
-        &self,
-        req: &Request,
-        done_us: u64,
-        state: ShardState,
-        degraded: bool,
-        reason: Option<DegradeReason>,
-        body: Body,
-    ) -> Answer {
-        Answer {
-            id: req.id,
-            degraded,
-            reason,
-            state,
-            latency_us: done_us - req.submitted_us,
-            body,
+    /// Breaker feedback for a primary-path success.
+    fn breaker_success(&self, ctl: &mut ShardCtl) {
+        let was_half_open = ctl.breaker.state() == BreakerState::HalfOpen;
+        ctl.breaker.on_success();
+        if was_half_open {
+            self.obs.inc("serve.breaker.closed");
         }
     }
 
@@ -842,47 +790,36 @@ impl Shard {
         }
     }
 
-    /// Post-completion accounting: panic containment, breaker feedback,
-    /// the Degraded trip.
-    fn settle(&self, ctl: &mut ShardCtl, req: &Request, admission: &Admission, r: &WorkerReply) {
-        if r.degraded {
-            ctl.degraded_answers += 1;
-            self.obs.inc("serve.answered.degraded");
-        } else {
-            ctl.answered += 1;
-            self.obs.inc("serve.answered.ok");
-        }
+    /// Post-completion accounting for a lead submitted at `now`: panic
+    /// containment, breaker feedback, the Degraded trip.
+    fn settle(&self, ctl: &mut ShardCtl, now: u64, mode: ServeMode, r: &LeadReply) {
+        self.count_answer(ctl, r.degraded);
         if r.panicked {
             ctl.panics_contained += 1;
             self.obs.inc("serve.panics.contained");
         }
         // Breaker + degradation feedback applies to full-service
         // requests only; market-mode service has no primary path.
-        if let ServeMode::Primary { .. } = admission.mode {
-            let now = req.submitted_us;
-            if r.panicked {
-                let was_half_open = ctl.breaker.state() == BreakerState::HalfOpen;
-                if ctl.breaker.on_failure(now) {
-                    self.obs.inc("serve.breaker.opened");
-                    if was_half_open {
-                        self.obs.inc("serve.breaker.reopened");
-                    }
-                }
-                ctl.panics_since_restart += 1;
-                if ctl.state == ShardState::Ready
-                    && ctl.panics_since_restart >= self.config.panic_threshold
-                {
-                    ctl.state = ShardState::Degraded;
-                    ctl.restart_at_us = Some(now + self.config.restart_delay_us);
-                    self.obs.inc("serve.shard.degraded");
-                }
-            } else {
-                let was_half_open = ctl.breaker.state() == BreakerState::HalfOpen;
-                ctl.breaker.on_success();
-                if was_half_open {
-                    self.obs.inc("serve.breaker.closed");
-                }
+        if let ServeMode::MarketMode(_) = mode {
+            return;
+        }
+        if !r.panicked {
+            self.breaker_success(ctl);
+            return;
+        }
+        let was_half_open = ctl.breaker.state() == BreakerState::HalfOpen;
+        if ctl.breaker.on_failure(now) {
+            self.obs.inc("serve.breaker.opened");
+            if was_half_open {
+                self.obs.inc("serve.breaker.reopened");
             }
+        }
+        ctl.panics_since_restart += 1;
+        if ctl.state == ShardState::Ready && ctl.panics_since_restart >= self.config.panic_threshold
+        {
+            ctl.state = ShardState::Degraded;
+            ctl.restart_at_us = Some(now + self.config.restart_delay_us);
+            self.obs.inc("serve.shard.degraded");
         }
     }
 
@@ -891,7 +828,94 @@ impl Shard {
     /// fault stream; either way the shard keeps answering — stale model
     /// beats no model.
     pub fn refit(&self, model: CfModel, _now_us: u64) -> Result<(), RefitError> {
-        let mut ctl = self.ctl.lock().expect("shard ctl poisoned");
+        self.install(&mut self.lock(), None, model)
+    }
+
+    /// Incremental hot refit for streaming ingestion: reads the current
+    /// `(snapshot, model, epoch)` in one critical section, rolls a clone
+    /// of the model forward over one applied delta batch
+    /// ([`CfModel::apply_delta`] — byte-identical to a full refit of the
+    /// post-batch fleet), and swaps the `(snapshot, model)` pair through
+    /// the same fault-checked path as [`Shard::refit`]: same seeded fault
+    /// draw, same epoch bump, same cache clear, all in one critical
+    /// section. The expensive work happens with no lock held, so
+    /// admission keeps serving the old pair meanwhile.
+    ///
+    /// If another refit swapped the model in the meantime, the swap is
+    /// refused with [`RefitError::Superseded`] before any fault draw:
+    /// installing a model rolled forward from the replaced one would
+    /// silently undo that refit. On an injected refit failure the shard
+    /// likewise keeps its old — mutually consistent — `(snapshot, model)`
+    /// pair and keeps answering: a stale fleet beats a torn one. The
+    /// caller may retry with the same arguments once its next batch
+    /// arrives.
+    pub fn refit_delta(
+        &self,
+        snapshot: Arc<NetworkSnapshot>,
+        arena: &AttrArena,
+        batch: &AppliedBatch,
+        key_cache: Option<SharedKeyColumns>,
+        _now_us: u64,
+    ) -> Result<DeltaFitReport, RefitError> {
+        let base = Self::pinned(&self.lock());
+        let (model, report) = self.roll_forward(&base, &snapshot, arena, batch, key_cache);
+        self.swap_delta(base.epoch, snapshot, model)?;
+        Ok(report)
+    }
+
+    /// Rolls a clone of `base.model` forward over one applied batch; no
+    /// lock is held.
+    fn roll_forward(
+        &self,
+        base: &Pinned,
+        snapshot: &NetworkSnapshot,
+        arena: &AttrArena,
+        batch: &AppliedBatch,
+        key_cache: Option<SharedKeyColumns>,
+    ) -> (CfModel, DeltaFitReport) {
+        let scope_before = Scope::market(&base.snapshot, self.market);
+        let scope_after = Scope::market(snapshot, self.market);
+        let mut model = (*base.model).clone();
+        let report = model.apply_delta(&DeltaApply {
+            snapshot,
+            arena,
+            scope_before: &scope_before,
+            scope_after: &scope_after,
+            batch,
+            key_cache,
+        });
+        (model, report)
+    }
+
+    /// Installs a model rolled forward from the pair at `base_epoch`,
+    /// unless a refit has swapped the model since.
+    fn swap_delta(
+        &self,
+        base_epoch: u64,
+        snapshot: Arc<NetworkSnapshot>,
+        model: CfModel,
+    ) -> Result<(), RefitError> {
+        let mut ctl = self.lock();
+        if ctl.model_epoch != base_epoch {
+            ctl.refits_failed += 1;
+            self.obs.inc("serve.refit.superseded");
+            return Err(RefitError::Superseded);
+        }
+        self.install(&mut ctl, Some(snapshot), model)
+    }
+
+    /// The fault-checked swap shared by every refit path: one seeded
+    /// refit fault draw, then the model (and, for delta refits, the
+    /// snapshot) swap in the same critical section as the epoch bump and
+    /// the cache clear — no batch can resolve probes against the new
+    /// model over the old fleet (or vice versa), and no pre-swap cache
+    /// entry survives into the new epoch.
+    fn install(
+        &self,
+        ctl: &mut ShardCtl,
+        snapshot: Option<Arc<NetworkSnapshot>>,
+        model: CfModel,
+    ) -> Result<(), RefitError> {
         let faults = draw_refit_faults(&mut ctl.refit_rng, &self.plan.rates);
         if faults.refit_failure {
             ctl.refits_failed += 1;
@@ -899,10 +923,11 @@ impl Shard {
             self.obs.inc("serve.refit.failed");
             return Err(RefitError::Injected);
         }
-        *self.model.write().expect("model lock poisoned") = Arc::new(model);
+        if let Some(snapshot) = snapshot {
+            ctl.snapshot = snapshot;
+        }
+        ctl.model = Arc::new(model);
         ctl.model_epoch += 1;
-        // Same critical section as the swap + epoch bump: no lookup can
-        // see the new model with the old epoch's cache entries.
         let dropped = ctl.cache.clear();
         if dropped > 0 {
             self.obs.add("serve.cache.invalidated", dropped as u64);
@@ -917,67 +942,6 @@ impl Shard {
         Ok(())
     }
 
-    /// Incremental hot refit for streaming ingestion: clones the current
-    /// model, rolls it forward over one applied delta batch
-    /// ([`CfModel::apply_delta`] — byte-identical to a full refit of the
-    /// post-batch fleet), and swaps the `(snapshot, model)` pair through
-    /// the same fault-checked path as [`Shard::refit`]: same seeded fault
-    /// draw, same epoch bump, same cache clear, all in one critical
-    /// section. The expensive work happens before any lock is taken, so
-    /// admission keeps serving the old pair meanwhile.
-    ///
-    /// On an injected refit failure the shard keeps its old — mutually
-    /// consistent — `(snapshot, model)` pair and keeps answering: a
-    /// stale fleet beats a torn one. The caller may retry with the same
-    /// arguments once its next batch arrives.
-    pub fn refit_delta(
-        &self,
-        snapshot: Arc<NetworkSnapshot>,
-        arena: &AttrArena,
-        batch: &AppliedBatch,
-        key_cache: Option<SharedKeyColumns>,
-        _now_us: u64,
-    ) -> Result<DeltaFitReport, RefitError> {
-        let scope_before = Scope::market(&self.snapshot(), self.market);
-        let scope_after = Scope::market(&snapshot, self.market);
-        let mut model = (*self.model()).clone();
-        let report = model.apply_delta(&DeltaApply {
-            snapshot: &snapshot,
-            arena,
-            scope_before: &scope_before,
-            scope_after: &scope_after,
-            batch,
-            key_cache,
-        });
-        let mut ctl = self.ctl.lock().expect("shard ctl poisoned");
-        let faults = draw_refit_faults(&mut ctl.refit_rng, &self.plan.rates);
-        if faults.refit_failure {
-            ctl.refits_failed += 1;
-            ctl.faults.refit_failures += 1;
-            self.obs.inc("serve.refit.failed");
-            return Err(RefitError::Injected);
-        }
-        // Snapshot and model swap in the same critical section as the
-        // epoch bump + cache clear: no batch can resolve probes against
-        // the new model over the old fleet (or vice versa), and no
-        // pre-swap cache entry survives into the new epoch.
-        *self.snapshot.write().expect("snapshot lock poisoned") = snapshot;
-        *self.model.write().expect("model lock poisoned") = Arc::new(model);
-        ctl.model_epoch += 1;
-        let dropped = ctl.cache.clear();
-        if dropped > 0 {
-            self.obs.add("serve.cache.invalidated", dropped as u64);
-        }
-        ctl.refits_ok += 1;
-        self.obs.inc("serve.refit.ok");
-        if faults.poisoned {
-            ctl.poisoned = true;
-            ctl.faults.poisoned_models += 1;
-            self.obs.inc("serve.fault.poisoned_model");
-        }
-        Ok(report)
-    }
-
     /// Refit from serialized bytes: a corrupt model file is a typed
     /// error and the stale model keeps serving. Only a successfully
     /// parsed model consumes a refit fault draw, so a deterministic
@@ -985,8 +949,7 @@ impl Shard {
     pub fn install_model_json(&self, bytes: &[u8], now_us: u64) -> Result<(), RefitError> {
         let model = CfModel::from_json_bytes(bytes).map_err(|e| {
             self.obs.inc("serve.refit.rejected_bytes");
-            let mut ctl = self.ctl.lock().expect("shard ctl poisoned");
-            ctl.refits_failed += 1;
+            self.lock().refits_failed += 1;
             RefitError::Load(e)
         })?;
         self.refit(model, now_us)
@@ -994,7 +957,7 @@ impl Shard {
 
     /// Enters Draining: all new requests get a typed rejection.
     pub fn drain(&self) {
-        let mut ctl = self.ctl.lock().expect("shard ctl poisoned");
+        let mut ctl = self.lock();
         if ctl.state != ShardState::Draining {
             ctl.state = ShardState::Draining;
             self.obs.inc("serve.shard.draining");
@@ -1003,7 +966,7 @@ impl Shard {
 
     /// Deterministic stats snapshot (safe between requests).
     pub fn stats(&self) -> ShardStats {
-        let ctl = self.ctl.lock().expect("shard ctl poisoned");
+        let ctl = self.lock();
         ShardStats {
             market: self.market.0,
             state: ctl.state,
@@ -1017,41 +980,12 @@ impl Shard {
             refits_ok: ctl.refits_ok,
             refits_failed: ctl.refits_failed,
             model_epoch: ctl.model_epoch,
-            dispatched: self.dispatched.load(Ordering::SeqCst),
+            dispatched: ctl.dispatched,
             cache_hits: ctl.cache_hits,
             coalesced: ctl.coalesced,
             busy_us: ctl.busy_us,
             restarts: ctl.restarts,
         }
-    }
-
-    /// Stops the worker thread (drops the channel, joins).
-    pub fn shutdown(&mut self) {
-        drop(self.tx.take());
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The worker thread: really executes every dispatched lead against the
-/// `(snapshot, model)` pair its batch was admitted under (epoch-pinned —
-/// a refit mid-batch does not change what this batch answers with), one
-/// `catch_unwind` per job. The KPI report stays pinned to the
-/// construction-time fleet: re-simulating KPIs per ingested batch is the
-/// KPI pipeline's job, not the serving path's.
-fn worker_loop(rx: mpsc::Receiver<Job>, kpi: Arc<Option<KpiReport>>, dispatched: Arc<AtomicU64>) {
-    while let Ok(job) = rx.recv() {
-        dispatched.fetch_add(1, Ordering::SeqCst);
-        let reply = serve_job(&job.snapshot, &job.model, kpi.as_ref().as_ref(), &job);
-        // A dropped receiver means the front door gave up; nothing to do.
-        let _ = job.reply.send(reply);
     }
 }
 
@@ -1067,7 +1001,7 @@ fn degrade_from_body(kind: &RequestKind, body: &Body) -> (bool, Option<DegradeRe
     )
 }
 
-/// Serves one job through the fallback chain. Every stage runs under
+/// Executes one lead through the fallback chain. Every stage runs under
 /// `catch_unwind`; a stage that panics falls through to the next, and
 /// the final market-mode stage is panic-free by construction (and still
 /// guarded — an empty answer beats a lost one).
@@ -1075,9 +1009,10 @@ fn serve_job(
     snapshot: &NetworkSnapshot,
     model: &CfModel,
     kpi: Option<&KpiReport>,
-    job: &Job,
-) -> WorkerReply {
-    let (inject, poisoned, market_only_reason) = match job.mode {
+    kind: &RequestKind,
+    mode: ServeMode,
+) -> LeadReply {
+    let (inject, poisoned, market_only_reason) = match mode {
         ServeMode::Primary {
             inject_panic,
             poisoned,
@@ -1086,10 +1021,10 @@ fn serve_job(
     };
     if let Some(reason) = market_only_reason {
         let body = catch_unwind(AssertUnwindSafe(|| {
-            market_mode_body(snapshot, model, kpi, &job.kind)
+            market_mode_body(snapshot, model, kpi, kind)
         }))
-        .unwrap_or_else(|_| empty_body(&job.kind));
-        return WorkerReply {
+        .unwrap_or_else(|_| empty_body(kind));
+        return LeadReply {
             body,
             degraded: true,
             reason: Some(reason),
@@ -1104,11 +1039,11 @@ fn serve_job(
         if inject || poisoned {
             std::panic::panic_any(InjectedPanic);
         }
-        primary_body(snapshot, model, kpi, &job.kind)
+        primary_body(snapshot, model, kpi, kind)
     }));
     if let Ok(body) = primary {
         let kpi_missing = matches!(body, Body::KpiHealth(None));
-        return WorkerReply {
+        return LeadReply {
             body,
             degraded: kpi_missing,
             reason: kpi_missing.then_some(DegradeReason::KpiUnavailable),
@@ -1117,20 +1052,20 @@ fn serve_job(
     }
 
     // Fallback chain: pairwise → singular → market mode.
-    let secondary = match &job.kind {
+    let secondary = match kind {
         RequestKind::Pairwise { new_carrier, .. } => catch_unwind(AssertUnwindSafe(|| {
-            Body::Recommendations(recommend_singular(snapshot, model, new_carrier))
+            Body::Recommendations(recommend_singular(snapshot, model, new_carrier).into())
         }))
         .ok(),
         _ => None,
     };
     let body = secondary.unwrap_or_else(|| {
         catch_unwind(AssertUnwindSafe(|| {
-            market_mode_body(snapshot, model, kpi, &job.kind)
+            market_mode_body(snapshot, model, kpi, kind)
         }))
-        .unwrap_or_else(|_| empty_body(&job.kind))
+        .unwrap_or_else(|_| empty_body(kind))
     });
-    WorkerReply {
+    LeadReply {
         body,
         degraded: true,
         reason: Some(DegradeReason::PanicFallback),
@@ -1147,35 +1082,43 @@ fn primary_body(
 ) -> Body {
     match kind {
         RequestKind::ColdStart(nc) => {
-            Body::Recommendations(recommend_singular(snapshot, model, nc))
+            Body::Recommendations(recommend_singular(snapshot, model, nc).into())
         }
         RequestKind::Pairwise {
             new_carrier,
             neighbor,
-        } => Body::Recommendations(recommend_pairwise(snapshot, model, new_carrier, *neighbor)),
-        RequestKind::Singular { carrier } => {
-            let mut recs = Vec::new();
-            for def in snapshot.catalog.defs() {
-                if def.kind != ParamKind::Singular {
-                    continue;
-                }
-                let r = model.recommend_local_singular(snapshot, def.id, *carrier, false);
-                recs.push(ConfigRecommendation {
-                    param: def.id,
-                    name: def.name.clone(),
-                    value: r.value,
-                    concrete: def.range.value(r.value),
-                    basis: r.basis,
-                    support: r.support,
-                    voters: r.voters,
-                    matched_on: Vec::new(),
-                });
-            }
-            Body::Recommendations(recs)
-        }
+        } => Body::Recommendations(
+            recommend_pairwise(snapshot, model, new_carrier, *neighbor).into(),
+        ),
+        RequestKind::Singular { carrier } => Body::Recommendations(
+            snapshot
+                .catalog
+                .defs()
+                .iter()
+                .filter(|def| def.kind == ParamKind::Singular)
+                .map(|def| {
+                    let r = model.recommend_local_singular(snapshot, def.id, *carrier, false);
+                    bare_recommendation(def, r)
+                })
+                .collect(),
+        ),
         RequestKind::Kpi { carrier } => {
             Body::KpiHealth(kpi.and_then(|rep| rep.kpi(*carrier)).map(|k| k.health()))
         }
+    }
+}
+
+/// A recommendation with no explanation material (no dependent-attribute
+/// match to report).
+fn bare_recommendation(def: &ParamDef, r: Recommendation) -> ConfigRecommendation {
+    ConfigRecommendation {
+        param: def.id,
+        value: r.value,
+        concrete: def.range.value(r.value),
+        basis: r.basis,
+        support: r.support,
+        voters: r.voters,
+        matched_on: Vec::new(),
     }
 }
 
@@ -1198,24 +1141,15 @@ fn market_mode_body(
         }
     };
     let n_fitted = model.params().len();
-    let mut recs = Vec::new();
-    for def in snapshot.catalog.defs() {
-        if def.kind != wanted || def.id.index() >= n_fitted {
-            continue;
-        }
-        let r = model.market_mode(def.id);
-        recs.push(ConfigRecommendation {
-            param: def.id,
-            name: def.name.clone(),
-            value: r.value,
-            concrete: def.range.value(r.value),
-            basis: r.basis,
-            support: r.support,
-            voters: r.voters,
-            matched_on: Vec::new(),
-        });
-    }
-    Body::Recommendations(recs)
+    Body::Recommendations(
+        snapshot
+            .catalog
+            .defs()
+            .iter()
+            .filter(|def| def.kind == wanted && def.id.index() < n_fitted)
+            .map(|def| bare_recommendation(def, model.market_mode(def.id)))
+            .collect(),
+    )
 }
 
 /// The absolute floor: an explicitly empty answer (only reachable if
@@ -1224,6 +1158,89 @@ fn market_mode_body(
 fn empty_body(kind: &RequestKind) -> Body {
     match kind {
         RequestKind::Kpi { .. } => Body::KpiHealth(None),
-        _ => Body::Recommendations(Vec::new()),
+        _ => Body::Recommendations(Arc::new([])),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use auric_core::CfConfig;
+    use auric_model::{apply_fleet_deltas, empty_snapshot};
+    use auric_netgen::{stream, NetScale, TuningKnobs};
+    use rand::RngCore;
+
+    /// A delta refit reads its base, rolls forward with no lock held,
+    /// then swaps. A plain refit that lands in between must survive: the
+    /// swap is refused (typed error + counter) before the fault draw.
+    #[test]
+    fn delta_refit_overtaken_by_a_refit_is_refused_and_the_refit_survives() {
+        let scale = NetScale::tiny();
+        let mut s = stream(&scale, &TuningKnobs::default());
+        let mut cur = empty_snapshot(s.schema().clone(), s.catalog().clone());
+        for _ in 0..scale.n_markets {
+            let b = s.next_batch().expect("market batch");
+            apply_fleet_deltas(&mut cur, &b).expect("consistent batch");
+        }
+        let market = cur.markets[0].id;
+        let fit = |snap: &NetworkSnapshot| {
+            CfModel::fit(snap, &Scope::market(snap, market), CfConfig::default())
+        };
+        let pre = Arc::new(cur.clone());
+        let obs = Recorder::deterministic();
+        let shard = Shard::new(
+            market,
+            Arc::clone(&pre),
+            fit(&cur),
+            Arc::new(None),
+            ShardFaultPlan::none(3),
+            ShardConfig::default(),
+            obs.clone(),
+        );
+
+        let mut arena = AttrArena::from_snapshot(&cur);
+        let batch = s.next_batch().expect("retune batch");
+        let digest = apply_fleet_deltas(&mut cur, &batch).expect("consistent batch");
+        arena.append(&cur);
+        let post = Arc::new(cur.clone());
+        let base = Shard::pinned(&shard.lock());
+        let (rolled, _) = shard.roll_forward(&base, &post, &arena, &digest, None);
+
+        // A plain refit lands between the base read and the swap.
+        shard.refit(fit(&pre), 0).expect("faultless refit");
+        let survivor = shard.model();
+        let mut draws_before = shard.lock().refit_rng.clone();
+
+        assert_eq!(
+            shard.swap_delta(base.epoch, Arc::clone(&post), rolled),
+            Err(RefitError::Superseded)
+        );
+        assert!(
+            Arc::ptr_eq(&shard.model(), &survivor),
+            "the refit's model survives"
+        );
+        assert!(
+            Arc::ptr_eq(&shard.snapshot(), &pre),
+            "no fleet swap without its model"
+        );
+        let stats = shard.stats();
+        assert_eq!(stats.model_epoch, 1);
+        assert_eq!((stats.refits_ok, stats.refits_failed), (1, 1));
+        assert_eq!(obs.counter("serve.refit.superseded"), 1);
+        assert_eq!(
+            shard.lock().refit_rng.clone().next_u64(),
+            draws_before.next_u64(),
+            "a refused swap consumes no refit fault draw"
+        );
+
+        // Rolled forward from the current pair, the same batch lands.
+        shard
+            .refit_delta(Arc::clone(&post), &arena, &digest, None, 0)
+            .expect("faultless delta refit");
+        assert!(Arc::ptr_eq(&shard.snapshot(), &post));
+        assert_eq!(
+            serde_json::to_string(&*shard.model()).unwrap(),
+            serde_json::to_string(&fit(&post)).unwrap()
+        );
     }
 }

@@ -804,3 +804,156 @@ fn delta_refits_swap_fleet_and_model_under_cache_invariants() {
     }
     assert!(svc.invariant_violations(&submitted).is_empty());
 }
+
+/// Panics are contained on the caller's thread: two callers share one
+/// shard under a nonzero injected-panic rate while a third thread
+/// refits it. Every call gets exactly one outcome, both callers keep
+/// serving after their own contained panics, and the accounting holds.
+#[test]
+fn contained_panics_leave_concurrent_callers_serving() {
+    let snap = snapshot();
+    let plan = ShardFaultPlan {
+        seed: 41,
+        rates: ShardFaultRates {
+            worker_panic: 0.2,
+            ..ShardFaultRates::none()
+        },
+    };
+    // Keep the shard Ready with a closed breaker so every panic walks
+    // the fallback chain instead of tripping into market mode.
+    let mut config = ready_config();
+    config.shard.panic_threshold = u32::MAX;
+    config.shard.breaker.trip_after = u32::MAX;
+    let svc = Arc::new(service(&snap, plan, config));
+    let m = snap.markets[0].id;
+    let clock = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    // Both callers and the refitter start together.
+    let start = Arc::new(std::sync::Barrier::new(3));
+    let callers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (svc, snap, clock) = (Arc::clone(&svc), Arc::clone(&snap), Arc::clone(&clock));
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let carriers = snap.carriers_in_market(m);
+                let (mut outcomes, mut panicked, mut ok_after_panic) = (0u64, 0u64, 0u64);
+                for i in 0..300u64 {
+                    let c = carriers[(i as usize * 7 + t as usize) % carriers.len()];
+                    let kind = if i % 2 == 0 {
+                        RequestKind::Singular { carrier: c }
+                    } else {
+                        RequestKind::ColdStart(clone_of(&snap, c))
+                    };
+                    let t_us = clock.fetch_add(1_000, std::sync::atomic::Ordering::SeqCst);
+                    let a = svc
+                        .call(&Request {
+                            id: (t << 32) | i,
+                            market: m,
+                            submitted_us: t_us,
+                            deadline_us: u64::MAX,
+                            kind,
+                        })
+                        .expect("a contained panic degrades the answer, it never rejects");
+                    outcomes += 1;
+                    if a.reason == Some(DegradeReason::PanicFallback) {
+                        panicked += 1;
+                    } else if panicked > 0 && !a.degraded {
+                        ok_after_panic += 1;
+                    }
+                }
+                (outcomes, panicked, ok_after_panic)
+            })
+        })
+        .collect();
+    let refitter = {
+        let (svc, snap) = (Arc::clone(&svc), Arc::clone(&snap));
+        std::thread::spawn(move || {
+            start.wait();
+            for round in 0..5u64 {
+                svc.refit(m, fit_market(&snap, m), round * 10_000)
+                    .expect("faultless refits succeed");
+            }
+        })
+    };
+    let mut submitted = 0;
+    for h in callers {
+        let (outcomes, panicked, ok_after_panic) = h.join().expect("caller thread survives");
+        assert_eq!(outcomes, 300, "one outcome per call");
+        assert!(panicked > 0, "this caller saw contained panics");
+        assert!(
+            ok_after_panic > 0,
+            "and kept serving first-class answers after them"
+        );
+        submitted += outcomes;
+    }
+    refitter.join().expect("refit thread survives");
+    let shard = svc.stats().shards[0];
+    assert_eq!(
+        shard.dispatched + shard.cache_hits + shard.coalesced,
+        shard.admitted
+    );
+    assert_eq!(shard.admitted, submitted);
+    assert_eq!(shard.panics_contained, shard.faults.worker_panics);
+    assert_eq!(shard.model_epoch, 5);
+    assert!(svc.invariant_violations(&[(m, submitted)]).is_empty());
+}
+
+fn shared_body(a: &Answer) -> &Arc<[auric_core::ConfigRecommendation]> {
+    let Body::Recommendations(recs) = &a.body else {
+        panic!("expected recommendations");
+    };
+    recs
+}
+
+/// Fan-out shares the lead's body: coalesced batch-mates and later cache
+/// hits return the very same allocation. A refit swap still forces a
+/// fresh lookup, so sharing never outlives its epoch.
+#[test]
+fn fan_out_and_cache_hits_share_the_lead_body() {
+    let snap = snapshot();
+    let svc = service(&snap, ShardFaultPlan::none(23), ready_config());
+    let m = snap.markets[0].id;
+    let c = snap.carriers_in_market(m)[0];
+
+    let batch: Vec<Answer> = svc
+        .call_batch(
+            &(0..3)
+                .map(|id| singular(id, m, c, 0, u64::MAX))
+                .collect::<Vec<_>>(),
+        )
+        .into_iter()
+        .map(|r| r.expect("answered"))
+        .collect();
+    let lead = shared_body(&batch[0]);
+    for member in &batch[1..] {
+        assert!(
+            Arc::ptr_eq(lead, shared_body(member)),
+            "coalesced member copies"
+        );
+    }
+    let hit = svc
+        .call(&singular(3, m, c, 1_000, u64::MAX))
+        .expect("answered");
+    assert!(Arc::ptr_eq(lead, shared_body(&hit)), "cache hit copies");
+    let shard = svc.stats().shards[0];
+    assert_eq!(
+        (shard.dispatched, shard.coalesced, shard.cache_hits),
+        (1, 2, 1)
+    );
+
+    svc.refit(m, fit_market(&snap, m), 2_000).expect("refit");
+    let after = svc
+        .call(&singular(4, m, c, 3_000, u64::MAX))
+        .expect("answered");
+    assert!(
+        !Arc::ptr_eq(lead, shared_body(&after)),
+        "a new epoch needs a fresh body"
+    );
+    assert_eq!(
+        svc.stats().shards[0].dispatched,
+        2,
+        "post-swap request is a miss"
+    );
+    assert_eq!(shared_body(&after)[..], lead[..], "same model, same answer");
+    assert!(svc.invariant_violations(&[(m, 5)]).is_empty());
+}

@@ -64,16 +64,17 @@ fn main() {
         .iter()
         .find(|r| r.param == param)
         .expect("parameter recommended");
+    let why = rec.render(snapshot);
     println!("\ncollaborative filtering for the same carrier:");
     println!(
         "  {} = {}  [{:?}, {}/{} voters agreed]",
-        rec.name, rec.concrete, rec.basis, rec.support, rec.voters
+        why.name, rec.concrete, rec.basis, rec.support, rec.voters
     );
-    if rec.matched_on.is_empty() {
+    if why.matched_on.is_empty() {
         println!("  (no dependent attributes: the network-wide majority value)");
     } else {
         println!("  because existing carriers matched on:");
-        for (attr, level) in &rec.matched_on {
+        for (attr, level) in &why.matched_on {
             println!("    {attr} = {level}");
         }
     }

@@ -46,7 +46,11 @@ fn main() {
     for r in recs.iter().take(10) {
         println!(
             "  {:<24} = {:>10}   [{:?}, support {}/{}]",
-            r.name, r.concrete, r.basis, r.support, r.voters
+            r.render(snapshot).name,
+            r.concrete,
+            r.basis,
+            r.support,
+            r.voters
         );
     }
 
@@ -61,15 +65,20 @@ fn main() {
     for r in pair_recs.iter().take(5) {
         println!(
             "  {:<24} = {:>10}   [{:?}, support {}/{}]",
-            r.name, r.concrete, r.basis, r.support, r.voters
+            r.render(snapshot).name,
+            r.concrete,
+            r.basis,
+            r.support,
+            r.voters
         );
     }
 
     // 6. Every recommendation explains itself: which attributes the
     //    parameter depends on and which levels were matched.
     let example = &recs[0];
-    println!("\nwhy {} = {}:", example.name, example.concrete);
-    for (attr, level) in &example.matched_on {
+    let why = example.render(snapshot);
+    println!("\nwhy {} = {}:", why.name, example.concrete);
+    for (attr, level) in &why.matched_on {
         println!("  matched existing carriers with {attr} = {level}");
     }
 }
