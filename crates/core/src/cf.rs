@@ -11,15 +11,14 @@
 //! key of every snapshot carrier (or directed pair) — so local voting is a
 //! linear scan of integer compares with zero allocation, and leave-one-out
 //! sweeps reuse the column instead of re-projecting attributes per probe.
-//! Layouts wider than 128 bits (unreachable under the Table-1 schema;
-//! paper-scale dependency selection crosses 64 bits but tops out near 94)
-//! fall back to unpacked keys with identical semantics; `legacy.rs` keeps
-//! the original unpacked implementation as the differential-testing
-//! oracle.
+//! The packed key is the only representation: the Table-1 schema's widest
+//! layout needs 120 bits even at the largest market count it supports, and
+//! the codec refuses anything over 128. `legacy.rs` keeps the original
+//! unpacked implementation as the differential-testing oracle.
 
 use crate::dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 use crate::scope::Scope;
-use crate::voting::{KeyRef, VoteKey, VoteTables};
+use crate::voting::{VoteKey, VoteTables};
 use auric_model::{
     AppliedBatch, AppliedRetune, AttrArena, AttrValue, AttrVec, CarrierId, DeltaSlot,
     NetworkSnapshot, PairIdx, ParamId, ParamKind, ValueIdx,
@@ -127,8 +126,7 @@ pub struct DeltaFitReport {
     /// Parameters whose tables were updated in place (dependency
     /// selection re-ran and landed on the same attribute set).
     pub params_patched: usize,
-    /// Parameters refitted from scratch (selection changed, or the key
-    /// layout is wide and carries no incremental form).
+    /// Parameters refitted from scratch (dependency selection changed).
     pub params_rebuilt: usize,
     /// Parameters the batch provably did not touch (no in-scope adds,
     /// removes, or retunes): tables untouched, key column refreshed only
@@ -209,7 +207,7 @@ pub struct Recommendation {
 /// private copy.
 #[derive(Debug, Clone)]
 enum KeyColumn {
-    /// No column: wide layout, or a freshly deserialized model.
+    /// No column: a freshly deserialized model.
     None,
     /// `col[c.index()]` = packed key of carrier `c` (singular parameters).
     Carrier(Arc<[u128]>),
@@ -558,8 +556,8 @@ impl CfModel {
     ///   removed targets subtract, batch-born targets add), and
     ///   re-frozen. Vote groups are key-sorted multisets, so patching to
     ///   the same multiset yields identical bytes.
-    /// * Parameters whose selection changed (or whose key layout is wide)
-    ///   are refitted from scratch, exactly as a full refit would.
+    /// * Parameters whose selection changed are refitted from scratch,
+    ///   exactly as a full refit would.
     ///
     /// Key columns span the whole fleet, so they are refreshed whenever
     /// the fleet changed shape even for untouched parameters — by
@@ -716,7 +714,7 @@ impl CfModel {
                 param,
                 &self.config.select_options(&obs),
             );
-            if dependent != self.params[i].dependent || !self.params[i].codec.fits_u128() {
+            if dependent != self.params[i].dependent {
                 self.params[i] =
                     fit_param_with_dependent(snapshot, arena, cache, scope_after, param, dependent);
                 report.params_rebuilt += 1;
@@ -746,13 +744,8 @@ impl CfModel {
                     DeltaSlot::Carrier(c) => pc.packed_for_carrier(attrs_of(c)),
                     DeltaSlot::Pair(a, b) => pc.packed_for_pair(attrs_of(a), attrs_of(b)),
                 };
-                pc.tables
-                    .remove_packed(key, r.old)
-                    .expect("patched tables are packed");
-                let sat = pc
-                    .tables
-                    .add_packed_count(key, r.new, 1)
-                    .expect("patched tables are packed");
+                pc.tables.remove_packed(key, r.old);
+                let sat = pc.tables.add_packed_count(key, r.new, 1);
                 report.count_saturated += sat as u64;
             }
             // Subtract everything that left the scope with a removal.
@@ -760,9 +753,7 @@ impl CfModel {
                 match kind {
                     ParamKind::Singular => {
                         let key = pc.packed_for_carrier(&rec.attrs);
-                        pc.tables
-                            .remove_packed(key, value_for(&rec.values, param))
-                            .expect("patched tables are packed");
+                        pc.tables.remove_packed(key, value_for(&rec.values, param));
                         report.obs_removed += 1;
                     }
                     ParamKind::Pairwise => {
@@ -772,9 +763,7 @@ impl CfModel {
                             .filter(|rp| in_carriers(scope_before, rp.src))
                         {
                             let key = pc.packed_for_pair(&rp.src_attrs, &rp.dst_attrs);
-                            pc.tables
-                                .remove_packed(key, value_for(&rp.values, param))
-                                .expect("patched tables are packed");
+                            pc.tables.remove_packed(key, value_for(&rp.values, param));
                             report.obs_removed += 1;
                         }
                     }
@@ -785,10 +774,9 @@ impl CfModel {
                 ParamKind::Singular => {
                     for &c in &added_in_scope {
                         let key = pc.packed_for_carrier(&snapshot.carrier(c).attrs);
-                        let sat = pc
-                            .tables
-                            .add_packed_count(key, snapshot.config.value(param, c), 1)
-                            .expect("patched tables are packed");
+                        let sat =
+                            pc.tables
+                                .add_packed_count(key, snapshot.config.value(param, c), 1);
                         report.count_saturated += sat as u64;
                         report.obs_added += 1;
                     }
@@ -800,10 +788,11 @@ impl CfModel {
                             &snapshot.carrier(j).attrs,
                             &snapshot.carrier(k).attrs,
                         );
-                        let sat = pc
-                            .tables
-                            .add_packed_count(key, snapshot.config.pair_value(param, q), 1)
-                            .expect("patched tables are packed");
+                        let sat = pc.tables.add_packed_count(
+                            key,
+                            snapshot.config.pair_value(param, q),
+                            1,
+                        );
                         report.count_saturated += sat as u64;
                         report.obs_added += 1;
                     }
@@ -849,17 +838,16 @@ impl CfModel {
     /// singular vote table of this model, so the serving layer can use
     /// the probe as an equality-comparable `(ParamId, u128)` handle —
     /// resolved once at admission — for batching, coalescing, and
-    /// response caching. `None` when the model does not cover the
-    /// catalog or any singular layout is wider than 128 bits (no integer
-    /// handle; such requests are served unbatched).
-    pub fn probe_singular(&self, snapshot: &NetworkSnapshot, attrs: &AttrVec) -> Option<Vec<u128>> {
+    /// response caching.
+    ///
+    /// # Panics
+    /// Panics if the model has no parameter for some catalog entry; the
+    /// serving layer refuses such a model before it can serve.
+    pub fn probe_singular(&self, snapshot: &NetworkSnapshot, attrs: &AttrVec) -> Vec<u128> {
         snapshot
             .catalog
             .singular_ids()
-            .map(|p| {
-                let pc = self.params.get(p.index())?;
-                pc.codec.fits_u128().then(|| pc.packed_for_carrier(attrs))
-            })
+            .map(|p| self.params[p.index()].packed_for_carrier(attrs))
             .collect()
     }
 
@@ -871,14 +859,11 @@ impl CfModel {
         snapshot: &NetworkSnapshot,
         src: &AttrVec,
         dst: &AttrVec,
-    ) -> Option<Vec<u128>> {
+    ) -> Vec<u128> {
         snapshot
             .catalog
             .pairwise_ids()
-            .map(|p| {
-                let pc = self.params.get(p.index())?;
-                pc.codec.fits_u128().then(|| pc.packed_for_pair(src, dst))
-            })
+            .map(|p| self.params[p.index()].packed_for_pair(src, dst))
             .collect()
     }
 
@@ -893,12 +878,7 @@ impl CfModel {
     ) -> Recommendation {
         let pc = self.param(param);
         debug_assert_eq!(key.len(), pc.dependent.len());
-        if pc.codec.fits_u128() {
-            self.global_chain(pc, KeyRef::Packed(pc.codec.pack(key)), exclude)
-        } else {
-            let clamped = pc.codec.clamp(key);
-            self.global_chain(pc, KeyRef::Wide(&clamped), exclude)
-        }
+        self.global_chain(pc, pc.codec.pack(key), exclude)
     }
 
     /// The market-mode answer for a parameter: the scope-wide plurality
@@ -949,16 +929,11 @@ impl CfModel {
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let pc = self.param(param);
-        if pc.codec.fits_u128() {
-            let key = match pc.keys.carriers() {
-                Some(col) => col[carrier.index()],
-                None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
-            };
-            self.global_chain(pc, KeyRef::Packed(key), exclude)
-        } else {
-            let key = pc.key_for_carrier(&snapshot.carrier(carrier).attrs);
-            self.global_chain(pc, KeyRef::Wide(&key), exclude)
-        }
+        let key = match pc.keys.carriers() {
+            Some(col) => col[carrier.index()],
+            None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
+        };
+        self.global_chain(pc, key, exclude)
     }
 
     /// Global recommendation for an existing directed pair, reusing the
@@ -971,20 +946,14 @@ impl CfModel {
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let pc = self.param(param);
-        if pc.codec.fits_u128() {
-            let key = match pc.keys.pairs() {
-                Some(col) => col[pair as usize],
-                None => {
-                    let (j, k) = snapshot.x2.pair(pair);
-                    pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs)
-                }
-            };
-            self.global_chain(pc, KeyRef::Packed(key), exclude)
-        } else {
-            let (j, k) = snapshot.x2.pair(pair);
-            let key = pc.key_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs);
-            self.global_chain(pc, KeyRef::Wide(&key), exclude)
-        }
+        let key = match pc.keys.pairs() {
+            Some(col) => col[pair as usize],
+            None => {
+                let (j, k) = snapshot.x2.pair(pair);
+                pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs)
+            }
+        };
+        self.global_chain(pc, key, exclude)
     }
 
     /// The global fallback chain over the full vote key: full-key vote,
@@ -992,10 +961,10 @@ impl CfModel {
     /// groups are aggregated on demand from the sorted full-key groups —
     /// see [`VoteTables::prefix_aggregate`]), then the scope-wide
     /// majority, then the catalog default.
-    fn global_chain(
+    pub(crate) fn global_chain(
         &self,
         pc: &ParamCf,
-        full: KeyRef<'_>,
+        full: u128,
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let n = pc.dependent.len();
@@ -1076,71 +1045,47 @@ impl CfModel {
         debug_assert_eq!(snapshot.catalog.def(param).kind, ParamKind::Singular);
         let pc = self.param(param);
         let exclude = || loo.then(|| snapshot.config.value(param, carrier));
-        if pc.codec.fits_u128() {
-            let col = pc.keys.carriers();
-            let key = match col {
-                Some(col) => col[carrier.index()],
-                None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
+        let col = pc.keys.carriers();
+        let key = match col {
+            Some(col) => col[carrier.index()],
+            None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
+        };
+        // The neighborhood vote: a linear scan of integer compares over
+        // the key column (1-hop reads the CSR adjacency slice directly —
+        // no BFS allocation).
+        let mut table = FreqTable::new();
+        let mut tally = |n: CarrierId| {
+            let nkey = match col {
+                Some(col) => col[n.index()],
+                None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
             };
-            // The neighborhood vote: a linear scan of integer compares
-            // over the key column (1-hop reads the CSR adjacency slice
-            // directly — no BFS allocation).
-            let mut table = FreqTable::new();
-            let mut tally = |n: CarrierId| {
-                let nkey = match col {
-                    Some(col) => col[n.index()],
-                    None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-                };
-                if nkey == key {
-                    table.add(snapshot.config.value(param, n));
-                }
-            };
-            if self.config.hops == 1 {
-                for &n in snapshot.x2.neighbors(carrier) {
-                    tally(n);
-                }
-            } else {
-                for n in snapshot.x2.k_hop_neighbors(carrier, self.config.hops) {
-                    tally(n);
-                }
+            if nkey == key {
+                table.add(snapshot.config.value(param, n));
             }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
-                };
+        };
+        if self.config.hops == 1 {
+            for &n in snapshot.x2.neighbors(carrier) {
+                tally(n);
             }
-            self.global_chain(pc, KeyRef::Packed(key), exclude())
         } else {
-            let key = pc.key_for_carrier(&snapshot.carrier(carrier).attrs);
-            let mut table = FreqTable::new();
             for n in snapshot.x2.k_hop_neighbors(carrier, self.config.hops) {
-                if pc.key_for_carrier(&snapshot.carrier(n).attrs) == key {
-                    table.add(snapshot.config.value(param, n));
-                }
+                tally(n);
             }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
-                };
-            }
-            self.global_chain(pc, KeyRef::Wide(&key), exclude())
         }
+        if let Some((value, support, total)) =
+            table.majority_with_support_excluding(None, self.config.support)
+        {
+            self.obs.inc("cf.rec.basis.local_vote");
+            self.obs
+                .observe("cf.rec.support.local_vote", support as u64);
+            return Recommendation {
+                value,
+                basis: Basis::LocalVote,
+                support,
+                voters: total,
+            };
+        }
+        self.global_chain(pc, key, exclude())
     }
 
     /// Local recommendation for a pair-wise parameter on an existing
@@ -1157,96 +1102,56 @@ impl CfModel {
         let pc = self.param(param);
         let (j, k) = snapshot.x2.pair(pair);
         let exclude = || loo.then(|| snapshot.config.pair_value(param, pair));
-        if pc.codec.fits_u128() {
-            let col = pc.keys.pairs();
-            let key = match col {
-                Some(col) => col[pair as usize],
-                None => pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs),
-            };
-            // Candidate pairs are sourced at `j` and its neighborhood;
-            // their keys come straight off the pair column, so the scan
-            // allocates nothing (the old path rebuilt a `sources` vector
-            // and projected two attribute vectors per candidate).
-            let mut table = FreqTable::new();
-            let mut scan_source = |src: CarrierId| {
-                for q in snapshot.x2.pairs_from(src) {
-                    if q == pair {
-                        continue; // never vote for ourselves
+        let col = pc.keys.pairs();
+        let key = match col {
+            Some(col) => col[pair as usize],
+            None => pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs),
+        };
+        // Candidate pairs are sourced at `j` and its neighborhood; their
+        // keys come straight off the pair column, so the scan allocates
+        // nothing.
+        let mut table = FreqTable::new();
+        let mut scan_source = |src: CarrierId| {
+            for q in snapshot.x2.pairs_from(src) {
+                if q == pair {
+                    continue; // never vote for ourselves
+                }
+                let qkey = match col {
+                    Some(col) => col[q as usize],
+                    None => {
+                        let (a, b) = snapshot.x2.pair(q);
+                        pc.packed_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs)
                     }
-                    let qkey = match col {
-                        Some(col) => col[q as usize],
-                        None => {
-                            let (a, b) = snapshot.x2.pair(q);
-                            pc.packed_for_pair(
-                                &snapshot.carrier(a).attrs,
-                                &snapshot.carrier(b).attrs,
-                            )
-                        }
-                    };
-                    if qkey == key {
-                        table.add(snapshot.config.pair_value(param, q));
-                    }
-                }
-            };
-            scan_source(j);
-            if self.config.hops == 1 {
-                for &n in snapshot.x2.neighbors(j) {
-                    scan_source(n);
-                }
-            } else {
-                for n in snapshot.x2.k_hop_neighbors(j, self.config.hops) {
-                    scan_source(n);
-                }
-            }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
                 };
-            }
-            self.global_chain(pc, KeyRef::Packed(key), exclude())
-        } else {
-            let key = pc.key_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs);
-            let mut table = FreqTable::new();
-            let mut scan_source = |src: CarrierId| {
-                for q in snapshot.x2.pairs_from(src) {
-                    if q == pair {
-                        continue; // never vote for ourselves
-                    }
-                    let (a, b) = snapshot.x2.pair(q);
-                    let qkey =
-                        pc.key_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs);
-                    if qkey == key {
-                        table.add(snapshot.config.pair_value(param, q));
-                    }
+                if qkey == key {
+                    table.add(snapshot.config.pair_value(param, q));
                 }
-            };
-            scan_source(j);
+            }
+        };
+        scan_source(j);
+        if self.config.hops == 1 {
+            for &n in snapshot.x2.neighbors(j) {
+                scan_source(n);
+            }
+        } else {
             for n in snapshot.x2.k_hop_neighbors(j, self.config.hops) {
                 scan_source(n);
             }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
-                };
-            }
-            self.global_chain(pc, KeyRef::Wide(&key), exclude())
         }
+        if let Some((value, support, total)) =
+            table.majority_with_support_excluding(None, self.config.support)
+        {
+            self.obs.inc("cf.rec.basis.local_vote");
+            self.obs
+                .observe("cf.rec.support.local_vote", support as u64);
+            return Recommendation {
+                value,
+                basis: Basis::LocalVote,
+                support,
+                voters: total,
+            };
+        }
+        self.global_chain(pc, key, exclude())
     }
 }
 
@@ -1383,9 +1288,6 @@ fn refresh_key_column(
     remap: Option<&Vec<Option<PairIdx>>>,
     added_pairs_all: &[PairIdx],
 ) {
-    if !pc.codec.fits_u128() {
-        return; // wide layouts never carry columns
-    }
     match kind {
         ParamKind::Singular => {
             let old = match &pc.keys {
@@ -1499,17 +1401,15 @@ fn fit_param_with_dependent(
         .iter()
         .map(|pa| snapshot.schema.radix(pa.attr))
         .collect();
-    let codec = PackedKeyCodec::new(&cards);
-    let packed = codec.fits_u128();
+    let codec = PackedKeyCodec::new(&cards).expect(
+        "every layout of an in-program schema fits 128 bits \
+         (pinned by worst_case_schema_layouts_fit_u128 in crates/core/tests/equivalence.rs)",
+    );
     let mut pc = ParamCf {
         param,
         dependent,
         codec,
-        tables: if packed {
-            VoteTables::new()
-        } else {
-            VoteTables::new_wide()
-        },
+        tables: VoteTables::new(),
         default: def.default,
         keys: KeyColumn::None,
     };
@@ -1517,54 +1417,28 @@ fn fit_param_with_dependent(
     // contiguous runs of the frozen sorted groups and aggregate on
     // demand, so materializing a table per observation per level — the
     // paper-scale RSS cliff — buys nothing.
-    if packed {
-        // Column over the whole snapshot (not just the scope): local
-        // voting consults out-of-scope neighbors too. Built from the
-        // shared arena columns — or shared outright with another
-        // parameter that selected the same dependent set.
-        let col = cache.get_or_build(def.kind, &pc.dependent, || {
-            pack_key_column(arena, &pc.codec, &pc.dependent, def.kind)
-        });
-        // The tables were just built packed, so a shape mismatch is
-        // impossible by construction.
-        match def.kind {
-            ParamKind::Singular => {
-                for &c in &scope.carriers {
-                    pc.tables
-                        .add_packed(col[c.index()], snapshot.config.value(param, c))
-                        .expect("tables built packed");
-                }
-                pc.keys = KeyColumn::Carrier(col);
+    //
+    // Column over the whole snapshot (not just the scope): local voting
+    // consults out-of-scope neighbors too. Built from the shared arena
+    // columns — or shared outright with another parameter that selected
+    // the same dependent set.
+    let col = cache.get_or_build(def.kind, &pc.dependent, || {
+        pack_key_column(arena, &pc.codec, &pc.dependent, def.kind)
+    });
+    match def.kind {
+        ParamKind::Singular => {
+            for &c in &scope.carriers {
+                pc.tables
+                    .add_packed(col[c.index()], snapshot.config.value(param, c));
             }
-            ParamKind::Pairwise => {
-                for &q in &scope.pairs {
-                    pc.tables
-                        .add_packed(col[q as usize], snapshot.config.pair_value(param, q))
-                        .expect("tables built packed");
-                }
-                pc.keys = KeyColumn::Pair(col);
-            }
+            pc.keys = KeyColumn::Carrier(col);
         }
-    } else {
-        match def.kind {
-            ParamKind::Singular => {
-                for &c in &scope.carriers {
-                    let key = pc.key_for_carrier(&snapshot.carrier(c).attrs);
-                    pc.tables
-                        .add_wide(&key, snapshot.config.value(param, c))
-                        .expect("tables built wide");
-                }
+        ParamKind::Pairwise => {
+            for &q in &scope.pairs {
+                pc.tables
+                    .add_packed(col[q as usize], snapshot.config.pair_value(param, q));
             }
-            ParamKind::Pairwise => {
-                for &q in &scope.pairs {
-                    let (j, k) = snapshot.x2.pair(q);
-                    let key =
-                        pc.key_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs);
-                    pc.tables
-                        .add_wide(&key, snapshot.config.pair_value(param, q))
-                        .expect("tables built wide");
-                }
-            }
+            pc.keys = KeyColumn::Pair(col);
         }
     }
     pc.tables.freeze();
@@ -1574,7 +1448,9 @@ fn fit_param_with_dependent(
 /// The stable wire format for the fitted parameters: group keys leave the
 /// process unpacked and sorted, exactly like the pre-packing layout, with
 /// the key-layout cardinalities carried alongside so deserialization can
-/// rebuild the packed representation.
+/// rebuild the packed representation. Files written before the per-level
+/// `prefix_tables` were dropped still load: the reader ignores unknown
+/// fields.
 mod model_serde {
     use super::*;
     use serde::{Deserializer, Serializer};
@@ -1593,7 +1469,6 @@ mod model_serde {
         /// Per-position cardinalities of the key layout.
         cards: Vec<u16>,
         tables: TablesWire,
-        prefix_tables: Vec<TablesWire>,
         default: ValueIdx,
     }
 
@@ -1616,22 +1491,6 @@ mod model_serde {
                 dependent: pc.dependent.clone(),
                 cards: pc.codec.cards().to_vec(),
                 tables: to_wire(&pc.tables, &pc.codec, pc.dependent.len()),
-                // The per-level backoff tables are no longer materialized
-                // in memory; the wire format still carries them (derived
-                // by merging the full-key groups per prefix — every
-                // level's overall distribution equals the full table's),
-                // so serialized models are byte-identical to the era that
-                // stored them eagerly. Transiently allocates the merged
-                // level tables — fine at evaluation scales; a paper-scale
-                // model is never serialized.
-                prefix_tables: (0..pc.dependent.len())
-                    .map(|l| TablesWire {
-                        groups: pc
-                            .tables
-                            .unpacked_prefix_groups(&pc.codec, pc.dependent.len(), l),
-                        overall: pc.tables.overall().clone(),
-                    })
-                    .collect(),
                 default: pc.default,
             })
             .collect();
@@ -1656,7 +1515,10 @@ mod model_serde {
                         w.dependent.len()
                     )));
                 }
-                let codec = PackedKeyCodec::new(&w.cards);
+                // A layout over 128 bits cannot come from a fit: the
+                // file was hand-edited or written for another schema.
+                let codec = PackedKeyCodec::new(&w.cards)
+                    .map_err(|e| D::Error::custom(format!("param {:?}: {e}", w.param)))?;
                 // The overall table must be the merge of the group tables
                 // (both accumulate exactly the recorded observations).
                 // Leave-one-out exclusion subtracts a voter's count from
@@ -1672,10 +1534,6 @@ mod model_serde {
                         w.param
                     )));
                 }
-                // `w.prefix_tables` is parsed for wire compatibility but
-                // not kept: backoff aggregates the full-key groups on
-                // demand, so the levels carry no information the full
-                // tables don't.
                 let tables =
                     VoteTables::from_unpacked_groups(&codec, w.tables.groups, w.tables.overall)
                         .map_err(|e| D::Error::custom(format!("param {:?}: {e}", w.param)))?;
@@ -1974,6 +1832,74 @@ mod tests {
         );
     }
 
+    /// Mutable access to a JSON object's field (the vendored `Value` has
+    /// no `IndexMut`).
+    fn field_mut<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+        let serde_json::Value::Map(entries) = v else {
+            panic!("not a JSON object")
+        };
+        &mut entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no field {key}"))
+            .1
+    }
+
+    /// A serialized model, parsed for editing.
+    fn wire_value(model: &CfModel) -> serde_json::Value {
+        serde_json::from_str(&serde_json::to_string(model).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn files_with_per_level_prefix_tables_still_load() {
+        // Files written before the per-level backoff tables were dropped
+        // carry a `prefix_tables` array per parameter; the reader ignores
+        // it and rebuilds the same model.
+        let (_, model) = fitted();
+        let mut value = wire_value(&model);
+        let serde_json::Value::Seq(params) = field_mut(&mut value, "params") else {
+            panic!("params array")
+        };
+        for p in params.iter_mut() {
+            let tables = field_mut(p, "tables").clone();
+            let serde_json::Value::Map(entries) = p else {
+                panic!("param object")
+            };
+            entries.push(("prefix_tables".into(), serde_json::Value::Seq(vec![tables])));
+        }
+        let old = serde_json::to_string(&value).unwrap();
+        let back = CfModel::from_json_bytes(old.as_bytes()).expect("older file loads");
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&model).unwrap()
+        );
+    }
+
+    #[test]
+    fn layouts_over_128_bits_are_refused_on_load() {
+        // Nine 16-bit positions need 144 bits: no fit produces that, so a
+        // file declaring it was hand-edited. Loading it is an error, not a
+        // panic and not a second key representation.
+        let (_, model) = fitted();
+        let mut value = wire_value(&model);
+        let serde_json::Value::Seq(params) = field_mut(&mut value, "params") else {
+            panic!("params array")
+        };
+        let attr = serde::to_value(&PredictorAttr {
+            attr: auric_model::AttrId(0),
+            side: Side::Src,
+        });
+        *field_mut(&mut params[0], "dependent") = serde_json::Value::Seq(vec![attr; 9]);
+        *field_mut(&mut params[0], "cards") =
+            serde_json::Value::Seq(vec![serde_json::Value::UInt(65535); 9]);
+        let bytes = serde_json::to_string(&value).unwrap();
+        let err = CfModel::from_json_bytes(bytes.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, ModelLoadError::Parse(msg) if msg.contains("144 bits")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn wire_format_keeps_groups_as_sorted_unpacked_pairs() {
         // The on-disk JSON must expose group keys as attribute-level
@@ -2078,11 +2004,8 @@ mod tests {
                     .iter()
                     .map(|pa| snap.schema.radix(pa.attr))
                     .collect();
-                let codec = PackedKeyCodec::new(&cards);
-                if !codec.fits_u128() {
-                    // Wide layouts never reach the column cache.
-                    return Ok(());
-                }
+                // At most 6 attributes of the tiny schema always fit.
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let cache = KeyColumnCache::default();
                 let col = cache.get_or_build(kind, &dependent, || {
                     pack_key_column(&arena, &codec, &dependent, kind)

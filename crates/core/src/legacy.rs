@@ -88,7 +88,7 @@ pub struct LegacyParamCf {
     pub param: ParamId,
     pub dependent: Vec<PredictorAttr>,
     pub tables: LegacyVoteTables,
-    prefix_tables: Vec<LegacyVoteTables>,
+    level_tables: Vec<LegacyVoteTables>,
     pub default: ValueIdx,
 }
 
@@ -164,7 +164,7 @@ impl LegacyCfModel {
         }
         for l in (1..key.len()).rev() {
             let prefix = &key[..l];
-            let tables = &pc.prefix_tables[l];
+            let tables = &pc.level_tables[l];
             let ex = exclude.filter(|&v| tables.group(prefix).is_some_and(|g| g.count(v) > 0));
             if let Some((value, support, voters)) = tables.group_majority(prefix, ex) {
                 return Recommendation {
@@ -281,12 +281,12 @@ fn fit_param(
         param,
         dependent,
         tables: LegacyVoteTables::new(),
-        prefix_tables: (0..n_prefixes).map(|_| LegacyVoteTables::new()).collect(),
+        level_tables: (0..n_prefixes).map(|_| LegacyVoteTables::new()).collect(),
         default: def.default,
     };
     let record = |pc: &mut LegacyParamCf, key: LegacyVoteKey, value: ValueIdx| {
-        for l in 0..pc.prefix_tables.len() {
-            pc.prefix_tables[l].add(key[..l].to_vec(), value);
+        for l in 0..pc.level_tables.len() {
+            pc.level_tables[l].add(key[..l].to_vec(), value);
         }
         pc.tables.add(key, value);
     };

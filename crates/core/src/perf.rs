@@ -90,27 +90,17 @@ pub fn recommend_local_weighted(
     carrier: auric_model::CarrierId,
 ) -> crate::cf::Recommendation {
     let pc = model.param(param);
-    let key = pc.key_for_carrier(&snapshot.carrier(carrier).attrs);
+    // Integer compares against the fitted key column (see cf.rs).
+    let key = pc.packed_for_carrier(&snapshot.carrier(carrier).attrs);
+    let col = pc.carrier_keys();
     let mut votes = WeightedVotes::new();
-    if pc.codec().fits_u128() {
-        // Integer compares against the fitted key column (see cf.rs).
-        let packed = pc.packed_for_carrier(&snapshot.carrier(carrier).attrs);
-        let col = pc.carrier_keys();
-        for n in snapshot.x2.k_hop_neighbors(carrier, model.config.hops) {
-            let nkey = match col {
-                Some(col) => col[n.index()],
-                None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-            };
-            if nkey == packed {
-                votes.add(snapshot.config.value(param, n), kpi.weight(n));
-            }
-        }
-    } else {
-        for n in snapshot.x2.k_hop_neighbors(carrier, model.config.hops) {
-            let neighbor = snapshot.carrier(n);
-            if pc.key_for_carrier(&neighbor.attrs) == key {
-                votes.add(snapshot.config.value(param, n), kpi.weight(n));
-            }
+    for n in snapshot.x2.k_hop_neighbors(carrier, model.config.hops) {
+        let nkey = match col {
+            Some(col) => col[n.index()],
+            None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
+        };
+        if nkey == key {
+            votes.add(snapshot.config.value(param, n), kpi.weight(n));
         }
     }
     if let Some((value, mass)) = votes.winner(model.config.support) {
@@ -121,7 +111,7 @@ pub fn recommend_local_weighted(
             voters: votes.total().round() as usize,
         };
     }
-    model.recommend_global(param, &key, None)
+    model.global_chain(pc, key, None)
 }
 
 #[cfg(test)]

@@ -95,32 +95,21 @@ pub fn recommend_singular(
         .singular_ids()
         .map(|p| {
             let pc = model.param(p);
-            let key = pc.key_for_carrier(&new_carrier.attrs);
-            // Local vote over the planned neighbors with matching keys —
-            // integer compares against the fitted key column on the
-            // packed layout, one projection per neighbor otherwise.
+            // Local vote over the planned neighbors with matching keys:
+            // integer compares against the fitted key column.
+            let key = pc.packed_for_carrier(&new_carrier.attrs);
+            let col = pc.carrier_keys();
             let mut table = FreqTable::new();
-            if pc.codec().fits_u128() {
-                let packed = pc.packed_for_carrier(&new_carrier.attrs);
-                let col = pc.carrier_keys();
-                for &n in &neighbors {
-                    let nkey = match col {
-                        // The fitted key column covers the fitting scope's
-                        // snapshot; a neighbor beyond it (fit on an older,
-                        // smaller network) is projected directly instead.
-                        Some(col) if n.index() < col.len() => col[n.index()],
-                        _ => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-                    };
-                    if nkey == packed {
-                        table.add(snapshot.config.value(p, n));
-                    }
-                }
-            } else {
-                for &n in &neighbors {
-                    let nb = snapshot.carrier(n);
-                    if pc.key_for_carrier(&nb.attrs) == key {
-                        table.add(snapshot.config.value(p, n));
-                    }
+            for &n in &neighbors {
+                let nkey = match col {
+                    // The fitted key column covers the fitting scope's
+                    // snapshot; a neighbor beyond it (fit on an older,
+                    // smaller network) is projected directly instead.
+                    Some(col) if n.index() < col.len() => col[n.index()],
+                    _ => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
+                };
+                if nkey == key {
+                    table.add(snapshot.config.value(p, n));
                 }
             }
             obs.inc("cf.coldstart.total");
@@ -136,7 +125,7 @@ pub fn recommend_singular(
                 }
             } else {
                 obs.inc("cf.coldstart.fallback");
-                model.recommend_global(p, &key, None)
+                model.global_chain(pc, key, None)
             };
             explain(snapshot, model, p, &new_carrier.attrs, None, rec)
         })
@@ -168,7 +157,7 @@ pub fn recommend_pairwise(
         .pairwise_ids()
         .map(|p| {
             let pc = model.param(p);
-            let key = pc.key_for_pair(&new_carrier.attrs, dst);
+            let key = pc.packed_for_pair(&new_carrier.attrs, dst);
             // Local vote over pairs sourced at the planned neighbors,
             // reading keys off the fitted pair column when available.
             //
@@ -188,42 +177,24 @@ pub fn recommend_pairwise(
             // are deliberately out of scope — their source is not part of
             // the new carrier's planned neighborhood, mirroring
             // `CfModel::recommend_local_pair`.
+            let col = pc.pair_keys();
             let mut table = FreqTable::new();
-            if pc.codec().fits_u128() {
-                let packed = pc.packed_for_pair(&new_carrier.attrs, dst);
-                let col = pc.pair_keys();
-                for &n in &neighbors {
-                    for q in snapshot.x2.pairs_from(n) {
-                        let (a, b) = snapshot.x2.pair(q);
-                        if snapshot.x2.pair_idx(b, a).is_none() {
-                            obs.inc("cf.coldstart.asymmetric_pair");
-                            continue;
-                        }
-                        let qkey = match col {
-                            Some(col) if (q as usize) < col.len() => col[q as usize],
-                            _ => pc.packed_for_pair(
-                                &snapshot.carrier(a).attrs,
-                                &snapshot.carrier(b).attrs,
-                            ),
-                        };
-                        if qkey == packed {
-                            table.add(snapshot.config.pair_value(p, q));
-                        }
+            for &n in &neighbors {
+                for q in snapshot.x2.pairs_from(n) {
+                    let (a, b) = snapshot.x2.pair(q);
+                    if snapshot.x2.pair_idx(b, a).is_none() {
+                        obs.inc("cf.coldstart.asymmetric_pair");
+                        continue;
                     }
-                }
-            } else {
-                for &n in &neighbors {
-                    for q in snapshot.x2.pairs_from(n) {
-                        let (a, b) = snapshot.x2.pair(q);
-                        if snapshot.x2.pair_idx(b, a).is_none() {
-                            obs.inc("cf.coldstart.asymmetric_pair");
-                            continue;
-                        }
-                        let qkey =
-                            pc.key_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs);
-                        if qkey == key {
-                            table.add(snapshot.config.pair_value(p, q));
-                        }
+                    let qkey = match col {
+                        Some(col) if (q as usize) < col.len() => col[q as usize],
+                        _ => pc.packed_for_pair(
+                            &snapshot.carrier(a).attrs,
+                            &snapshot.carrier(b).attrs,
+                        ),
+                    };
+                    if qkey == key {
+                        table.add(snapshot.config.pair_value(p, q));
                     }
                 }
             }
@@ -240,7 +211,7 @@ pub fn recommend_pairwise(
                 }
             } else {
                 obs.inc("cf.coldstart.fallback");
-                model.recommend_global(p, &key, None)
+                model.global_chain(pc, key, None)
             };
             explain(snapshot, model, p, &new_carrier.attrs, Some(dst), rec)
         })

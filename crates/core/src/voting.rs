@@ -5,10 +5,9 @@
 //! Group keys are stored *packed*: the dependent attribute levels of one
 //! target are laid out as bit fields of a single `u128` (see
 //! [`auric_stats::packed::PackedKeyCodec`]), so group lookups hash and
-//! compare one integer instead of a heap-allocated `Vec<u16>`. Layouts
-//! wider than 128 bits (unreachable under the Table-1 schema, whose worst
-//! pairwise layout is ~94 bits) fall back to boxed unpacked keys with
-//! identical semantics.
+//! compare one integer instead of a heap-allocated `Vec<u16>`. The packed
+//! key is the only representation: the codec refuses layouts wider than
+//! 128 bits, which the Table-1 schema cannot produce.
 //!
 //! Storage has two phases. During a fit, observations accumulate into a
 //! hash map. [`VoteTables::freeze`] then converts the map into a `Vec`
@@ -32,54 +31,15 @@ use std::collections::HashMap;
 /// form.
 pub type VoteKey = Vec<AttrValue>;
 
-/// A borrowed group key in either representation.
-#[derive(Debug, Clone, Copy)]
-pub enum KeyRef<'a> {
-    /// Bit-packed key (or prefix-masked packed key).
-    Packed(u128),
-    /// Unpacked key for layouts wider than 128 bits.
-    Wide(&'a [u16]),
-}
-
 /// Group storage: packed keys under the fast integer hasher while
-/// accumulating, sorted packed keys once frozen, or boxed unpacked keys
-/// when the layout does not fit a `u128`.
+/// accumulating, sorted packed keys once frozen.
 #[derive(Debug, Clone)]
 enum GroupStore {
     Packed(HashMap<u128, FreqTable, FastHash>),
     /// Frozen form: sorted by packed key, so lookups binary-search and
     /// prefix groups are contiguous runs (see the module docs).
     PackedSorted(Vec<(u128, FreqTable)>),
-    Wide(HashMap<Box<[u16]>, FreqTable>),
 }
-
-/// The error returned when an observation's key representation does not
-/// match the table's storage (packed key into wide tables or vice versa).
-/// Within one fitted model the codec decides the representation up front,
-/// so mixing is a caller bug — but a *deserialized* model can legitimately
-/// disagree with a probe built against a different codec (e.g. a layout
-/// change between fit and probe), so the mismatch must not panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyShapeMismatch {
-    /// Whether the tables store wide keys.
-    pub tables_wide: bool,
-}
-
-impl std::fmt::Display for KeyShapeMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (tables, key) = if self.tables_wide {
-            ("wide", "packed")
-        } else {
-            ("packed", "wide")
-        };
-        write!(
-            f,
-            "vote-key representation mismatch: {key} key into {tables} tables"
-        )
-    }
-}
-
-impl std::error::Error for KeyShapeMismatch {}
 
 /// The error returned when deserialized `(key, table)` pairs do not fit
 /// the declared key layout. Fitted tables can only produce in-range keys
@@ -126,54 +86,35 @@ impl std::fmt::Display for VoteWireError {
 impl std::error::Error for VoteWireError {}
 
 impl GroupStore {
-    fn get(&self, key: KeyRef<'_>) -> Option<&FreqTable> {
-        match (self, key) {
-            (GroupStore::Packed(map), KeyRef::Packed(k)) => map.get(&k),
-            (GroupStore::PackedSorted(groups), KeyRef::Packed(k)) => groups
-                .binary_search_by_key(&k, |&(gk, _)| gk)
+    fn get(&self, key: u128) -> Option<&FreqTable> {
+        match self {
+            GroupStore::Packed(map) => map.get(&key),
+            GroupStore::PackedSorted(groups) => groups
+                .binary_search_by_key(&key, |&(gk, _)| gk)
                 .ok()
                 .map(|i| &groups[i].1),
-            (GroupStore::Wide(map), KeyRef::Wide(k)) => map.get(k),
-            // A probe in the wrong representation can reach here through a
-            // deserialized model whose key layout changed between fit and
-            // probe. No group can match such a key, so the right answer is
-            // "no group" — the recommendation chain then degrades to the
-            // scope-wide fallbacks instead of panicking.
-            _ => None,
         }
     }
 
-    /// The packed groups as a canonical sorted list, for
-    /// representation-independent equality. `None` for wide stores.
-    fn sorted_packed(&self) -> Option<Vec<(u128, &FreqTable)>> {
+    /// The groups as a canonical sorted list, for form-independent
+    /// equality.
+    fn sorted(&self) -> Vec<(u128, &FreqTable)> {
         match self {
             GroupStore::Packed(map) => {
                 let mut v: Vec<(u128, &FreqTable)> = map.iter().map(|(&k, t)| (k, t)).collect();
                 v.sort_unstable_by_key(|&(k, _)| k);
-                Some(v)
+                v
             }
-            GroupStore::PackedSorted(groups) => Some(groups.iter().map(|(k, t)| (*k, t)).collect()),
-            GroupStore::Wide(_) => None,
+            GroupStore::PackedSorted(groups) => groups.iter().map(|(k, t)| (*k, t)).collect(),
         }
     }
 }
 
 impl PartialEq for GroupStore {
-    /// Representation-independent: an accumulating map and its frozen
-    /// sorted form holding the same groups are equal. Packed and wide
-    /// stores are never equal (their keys are not comparable without a
-    /// codec).
+    /// Form-independent: an accumulating map and its frozen sorted form
+    /// holding the same groups are equal.
     fn eq(&self, other: &Self) -> bool {
-        match (self.sorted_packed(), other.sorted_packed()) {
-            (Some(a), Some(b)) => a == b,
-            (None, None) => {
-                let (GroupStore::Wide(a), GroupStore::Wide(b)) = (self, other) else {
-                    unreachable!("only wide stores lack a packed form")
-                };
-                a == b
-            }
-            _ => false,
-        }
+        self.sorted() == other.sorted()
     }
 }
 
@@ -199,7 +140,7 @@ impl Default for VoteTables {
 }
 
 impl VoteTables {
-    /// An empty table set with packed keys.
+    /// An empty table set.
     pub fn new() -> Self {
         Self {
             groups: GroupStore::Packed(HashMap::default()),
@@ -207,26 +148,11 @@ impl VoteTables {
         }
     }
 
-    /// An empty table set with wide (unpacked) keys, for layouts that do
-    /// not fit a `u128`.
-    pub fn new_wide() -> Self {
-        Self {
-            groups: GroupStore::Wide(HashMap::new()),
-            overall: FreqTable::new(),
-        }
-    }
-
-    /// Whether this table set stores wide keys.
-    pub fn is_wide(&self) -> bool {
-        matches!(self.groups, GroupStore::Wide(_))
-    }
-
-    /// Records one observation of `value` under a packed `key`. Fails
-    /// without mutating anything if the tables store wide keys. A frozen
+    /// Records one observation of `value` under a packed `key`. A frozen
     /// table accepts the observation through a sorted insert — O(n) worst
     /// case, correct but meant for incremental trickles, not bulk fits.
     #[inline]
-    pub fn add_packed(&mut self, key: u128, value: ValueIdx) -> Result<(), KeyShapeMismatch> {
+    pub fn add_packed(&mut self, key: u128, value: ValueIdx) {
         match &mut self.groups {
             GroupStore::Packed(map) => map.entry(key).or_default().add(value),
             GroupStore::PackedSorted(groups) => {
@@ -239,26 +165,18 @@ impl VoteTables {
                     }
                 }
             }
-            GroupStore::Wide(_) => return Err(KeyShapeMismatch { tables_wide: true }),
         }
         self.overall.add(value);
-        Ok(())
     }
 
     /// Records `count` observations of `value` under a packed `key` — the
     /// bulk form of [`VoteTables::add_packed`], built on the saturating
     /// [`FreqTable::add_count`] so a long-running incremental service can
     /// never overflow a counter. Returns `true` when any count clamped at
-    /// its maximum (the `cf.delta.count_saturated` signal). Fails without
-    /// mutating anything on wide stores.
-    pub fn add_packed_count(
-        &mut self,
-        key: u128,
-        value: ValueIdx,
-        count: usize,
-    ) -> Result<bool, KeyShapeMismatch> {
+    /// its maximum (the `cf.delta.count_saturated` signal).
+    pub fn add_packed_count(&mut self, key: u128, value: ValueIdx, count: usize) -> bool {
         if count == 0 {
-            return Ok(false);
+            return false;
         }
         let mut saturated = match &mut self.groups {
             GroupStore::Packed(map) => map.entry(key).or_default().add_count(value, count),
@@ -273,15 +191,13 @@ impl VoteTables {
                     }
                 }
             }
-            GroupStore::Wide(_) => return Err(KeyShapeMismatch { tables_wide: true }),
         };
         saturated |= self.overall.add_count(value, count);
-        Ok(saturated)
+        saturated
     }
 
     /// Converts an accumulating packed map into the frozen sorted form
-    /// (see the module docs). Idempotent; a no-op on wide stores, whose
-    /// prefix queries scan instead.
+    /// (see the module docs). Idempotent.
     pub fn freeze(&mut self) {
         if let GroupStore::Packed(map) = &mut self.groups {
             let mut groups: Vec<(u128, FreqTable)> = std::mem::take(map).into_iter().collect();
@@ -293,8 +209,7 @@ impl VoteTables {
     /// Converts the frozen sorted form back into the accumulating map —
     /// the inverse of [`VoteTables::freeze`], used by the incremental
     /// refit to batch-patch a fitted parameter at O(1) per observation
-    /// instead of O(n) sorted inserts. Idempotent; a no-op on wide
-    /// stores.
+    /// instead of O(n) sorted inserts. Idempotent.
     pub fn thaw(&mut self) {
         if let GroupStore::PackedSorted(groups) = &mut self.groups {
             let map: HashMap<u128, FreqTable, FastHash> =
@@ -309,14 +224,13 @@ impl VoteTables {
     /// observation leaves is excised entirely so no empty table lingers
     /// in the sorted run (a stale empty group used to make
     /// [`VoteTables::prefix_aggregate`] report a hit for a prefix with no
-    /// remaining observations). Fails without side effects on wide
-    /// stores.
+    /// remaining observations).
     ///
     /// # Panics
     /// Panics if no observation of `value` under `key` remains — removing
     /// something never recorded is always a caller logic error, matching
     /// [`FreqTable::remove`].
-    pub fn remove_packed(&mut self, key: u128, value: ValueIdx) -> Result<(), KeyShapeMismatch> {
+    pub fn remove_packed(&mut self, key: u128, value: ValueIdx) {
         match &mut self.groups {
             GroupStore::Packed(map) => {
                 let t = map
@@ -336,31 +250,8 @@ impl VoteTables {
                     groups.remove(i);
                 }
             }
-            GroupStore::Wide(_) => return Err(KeyShapeMismatch { tables_wide: true }),
         }
         self.overall.remove(value);
-        Ok(())
-    }
-
-    /// Records one observation of `value` under a wide `key`. Fails
-    /// without mutating anything if the tables store packed keys.
-    pub fn add_wide(&mut self, key: &[u16], value: ValueIdx) -> Result<(), KeyShapeMismatch> {
-        match &mut self.groups {
-            GroupStore::Wide(map) => {
-                if let Some(t) = map.get_mut(key) {
-                    t.add(value);
-                } else {
-                    let mut t = FreqTable::new();
-                    t.add(value);
-                    map.insert(key.into(), t);
-                }
-            }
-            GroupStore::Packed(_) | GroupStore::PackedSorted(_) => {
-                return Err(KeyShapeMismatch { tables_wide: false })
-            }
-        }
-        self.overall.add(value);
-        Ok(())
     }
 
     /// Number of distinct groups.
@@ -368,7 +259,6 @@ impl VoteTables {
         match &self.groups {
             GroupStore::Packed(map) => map.len(),
             GroupStore::PackedSorted(groups) => groups.len(),
-            GroupStore::Wide(map) => map.len(),
         }
     }
 
@@ -379,7 +269,7 @@ impl VoteTables {
 
     /// The group table for `key`, if any target matched it.
     #[inline]
-    pub fn group(&self, key: KeyRef<'_>) -> Option<&FreqTable> {
+    pub fn group(&self, key: u128) -> Option<&FreqTable> {
         self.groups.get(key)
     }
 
@@ -395,7 +285,7 @@ impl VoteTables {
     #[inline]
     pub fn vote(
         &self,
-        key: KeyRef<'_>,
+        key: u128,
         exclude: Option<ValueIdx>,
         threshold: f64,
     ) -> Option<(ValueIdx, usize, usize)> {
@@ -410,7 +300,7 @@ impl VoteTables {
     #[inline]
     pub fn group_majority(
         &self,
-        key: KeyRef<'_>,
+        key: u128,
         exclude: Option<ValueIdx>,
     ) -> Option<(ValueIdx, usize, usize)> {
         self.groups
@@ -434,20 +324,19 @@ impl VoteTables {
     /// On the frozen sorted form this is a binary search for the
     /// contiguous run plus one merge over it; on the accumulating forms
     /// it degrades to a filtering scan (correct, used only off the fitted
-    /// path). A representation-mismatched probe aggregates nothing, like
-    /// [`VoteTables::group`].
+    /// path).
     pub fn prefix_aggregate(
         &self,
         codec: &PackedKeyCodec,
-        key: KeyRef<'_>,
+        key: u128,
         l: usize,
     ) -> Option<FreqTable> {
         let mut agg = FreqTable::new();
         let mut any = false;
-        match (&self.groups, key) {
-            (GroupStore::PackedSorted(groups), KeyRef::Packed(k)) => {
-                let mask = codec.prefix_mask(l);
-                let prefix = k & mask;
+        let mask = codec.prefix_mask(l);
+        let prefix = key & mask;
+        match &self.groups {
+            GroupStore::PackedSorted(groups) => {
                 // Monotone predicates: `gk & mask` is non-decreasing in
                 // `gk` because the mask selects the top bits.
                 let lo = groups.partition_point(|&(gk, _)| gk & mask < prefix);
@@ -464,9 +353,7 @@ impl VoteTables {
                     any = true;
                 }
             }
-            (GroupStore::Packed(map), KeyRef::Packed(k)) => {
-                let mask = codec.prefix_mask(l);
-                let prefix = k & mask;
+            GroupStore::Packed(map) => {
                 // Deterministic despite map iteration order: merging is
                 // commutative and FreqTable is representation-independent.
                 for (&gk, t) in map {
@@ -476,15 +363,6 @@ impl VoteTables {
                     }
                 }
             }
-            (GroupStore::Wide(map), KeyRef::Wide(k)) => {
-                for (gk, t) in map {
-                    if gk.get(..l) == k.get(..l) && t.total() > 0 {
-                        agg.merge(t);
-                        any = true;
-                    }
-                }
-            }
-            _ => {}
         }
         any.then_some(agg)
     }
@@ -497,46 +375,13 @@ impl VoteTables {
         codec: &PackedKeyCodec,
         len: usize,
     ) -> Vec<(VoteKey, &FreqTable)> {
-        let mut pairs: Vec<(VoteKey, &FreqTable)> = match &self.groups {
-            GroupStore::Packed(map) => map
-                .iter()
-                .map(|(&k, t)| (codec.unpack(k, len), t))
-                .collect(),
-            GroupStore::PackedSorted(groups) => groups
-                .iter()
-                .map(|(k, t)| (codec.unpack(*k, len), t))
-                .collect(),
-            GroupStore::Wide(map) => map.iter().map(|(k, t)| (k.to_vec(), t)).collect(),
-        };
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs
-    }
-
-    /// The length-`l` prefix groups as `(unpacked prefix, merged table)`
-    /// pairs sorted by key — what the wire format's per-level backoff
-    /// tables serialize as, derived from the full-key groups so the bytes
-    /// match the historically materialized per-level tables exactly.
-    pub fn unpacked_prefix_groups(
-        &self,
-        codec: &PackedKeyCodec,
-        full_len: usize,
-        l: usize,
-    ) -> Vec<(VoteKey, FreqTable)> {
-        let mut out: Vec<(VoteKey, FreqTable)> = Vec::new();
-        for (key, table) in self.unpacked_groups(codec, full_len) {
-            let prefix = &key[..l];
-            match out.last_mut() {
-                Some((last, agg)) if last[..] == *prefix => {
-                    agg.merge(table);
-                }
-                _ => {
-                    let mut agg = FreqTable::new();
-                    agg.merge(table);
-                    out.push((prefix.to_vec(), agg));
-                }
-            }
-        }
-        out
+        // Packed order is lexicographic order, so the sorted groups unpack
+        // already sorted.
+        self.groups
+            .sorted()
+            .into_iter()
+            .map(|(k, t)| (codec.unpack(k, len), t))
+            .collect()
     }
 
     /// Rebuilds a table set from `(unpacked key, table)` pairs under the
@@ -570,26 +415,18 @@ impl VoteTables {
                 }
             }
         }
-        let groups = if codec.fits_u128() {
-            let mut groups: Vec<(u128, FreqTable)> = pairs
-                .into_iter()
-                .map(|(k, t)| (codec.pack(&k), t))
-                .collect();
-            groups.sort_unstable_by_key(|&(k, _)| k);
-            if groups.windows(2).any(|w| w[0].0 == w[1].0) {
-                return Err(VoteWireError::DuplicateKey);
-            }
-            GroupStore::PackedSorted(groups)
-        } else {
-            let mut map = HashMap::with_capacity(pairs.len());
-            for (k, t) in pairs {
-                if map.insert(k.into_boxed_slice(), t).is_some() {
-                    return Err(VoteWireError::DuplicateKey);
-                }
-            }
-            GroupStore::Wide(map)
-        };
-        Ok(Self { groups, overall })
+        let mut groups: Vec<(u128, FreqTable)> = pairs
+            .into_iter()
+            .map(|(k, t)| (codec.pack(&k), t))
+            .collect();
+        groups.sort_unstable_by_key(|&(k, _)| k);
+        if groups.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(VoteWireError::DuplicateKey);
+        }
+        Ok(Self {
+            groups: GroupStore::PackedSorted(groups),
+            overall,
+        })
     }
 }
 
@@ -599,18 +436,18 @@ mod tests {
 
     /// Packs through a two-attribute layout of cardinality 3 each.
     fn codec() -> PackedKeyCodec {
-        PackedKeyCodec::new(&[3, 3])
+        PackedKeyCodec::new(&[3, 3]).unwrap()
     }
 
     fn tables() -> (PackedKeyCodec, VoteTables) {
         let codec = codec();
         let mut t = VoteTables::new();
         for _ in 0..8 {
-            t.add_packed(codec.pack(&[0, 1]), 10).unwrap();
+            t.add_packed(codec.pack(&[0, 1]), 10);
         }
-        t.add_packed(codec.pack(&[0, 1]), 20).unwrap();
+        t.add_packed(codec.pack(&[0, 1]), 20);
         for _ in 0..3 {
-            t.add_packed(codec.pack(&[2, 2]), 30).unwrap();
+            t.add_packed(codec.pack(&[2, 2]), 30);
         }
         (codec, t)
     }
@@ -620,35 +457,32 @@ mod tests {
         let (codec, t) = tables();
         assert_eq!(t.n_groups(), 2);
         assert_eq!(t.total(), 12);
-        assert!(t.group(KeyRef::Packed(codec.pack(&[0, 1]))).is_some());
-        assert!(
-            t.group(KeyRef::Packed(codec.pack(&[1, 0]))).is_none(),
-            "key order matters"
-        );
+        assert!(t.group(codec.pack(&[0, 1])).is_some());
+        assert!(t.group(codec.pack(&[1, 0])).is_none(), "key order matters");
     }
 
     #[test]
     fn vote_applies_threshold() {
         let (codec, t) = tables();
-        let k = KeyRef::Packed(codec.pack(&[0, 1]));
+        let k = codec.pack(&[0, 1]);
         // 8/9 ≈ 89% support for 10.
         assert_eq!(t.vote(k, None, 0.75), Some((10, 8, 9)));
         assert_eq!(t.vote(k, None, 0.95), None);
         // Unknown key: no group to vote in (out-of-range levels collapse
         // to the sentinel, which is never recorded).
-        let unknown = KeyRef::Packed(codec.pack(&[9, 9]));
+        let unknown = codec.pack(&[9, 9]);
         assert_eq!(t.vote(unknown, None, 0.5), None);
     }
 
     #[test]
     fn leave_one_out_changes_the_outcome_at_the_margin() {
-        let codec = PackedKeyCodec::new(&[3]);
+        let codec = PackedKeyCodec::new(&[3]).unwrap();
         let mut t = VoteTables::new();
         for _ in 0..3 {
-            t.add_packed(codec.pack(&[1]), 5).unwrap();
+            t.add_packed(codec.pack(&[1]), 5);
         }
-        t.add_packed(codec.pack(&[1]), 7).unwrap();
-        let k = KeyRef::Packed(codec.pack(&[1]));
+        t.add_packed(codec.pack(&[1]), 7);
+        let k = codec.pack(&[1]);
         // Probing the carrier that holds the 7: remaining 3×5 → 100%.
         assert_eq!(t.vote(k, Some(7), 0.75), Some((5, 3, 3)));
         // Probing a 5-holder: 2×5 + 1×7 → 2/3 < 75%.
@@ -668,34 +502,13 @@ mod tests {
         // With no dependent attributes, every observation lands in the
         // empty-key group — voting degenerates to a scope-wide majority
         // with threshold, which is the intended rule-book-like behavior.
-        let codec = PackedKeyCodec::new(&[]);
+        let codec = PackedKeyCodec::new(&[]).unwrap();
         let mut t = VoteTables::new();
         for _ in 0..9 {
-            t.add_packed(codec.pack(&[]), 4).unwrap();
+            t.add_packed(codec.pack(&[]), 4);
         }
-        t.add_packed(codec.pack(&[]), 6).unwrap();
-        assert_eq!(
-            t.vote(KeyRef::Packed(codec.pack(&[])), None, 0.75),
-            Some((4, 9, 10))
-        );
-    }
-
-    #[test]
-    fn wide_tables_mirror_packed_semantics() {
-        let mut t = VoteTables::new_wide();
-        assert!(t.is_wide());
-        for _ in 0..8 {
-            t.add_wide(&[0, 1], 10).unwrap();
-        }
-        t.add_wide(&[0, 1], 20).unwrap();
-        t.add_wide(&[2, 2], 30).unwrap();
-        assert_eq!(t.n_groups(), 2);
-        assert_eq!(t.vote(KeyRef::Wide(&[0, 1]), None, 0.75), Some((10, 8, 9)));
-        assert_eq!(t.vote(KeyRef::Wide(&[9, 9]), None, 0.5), None);
-        assert_eq!(
-            t.group_majority(KeyRef::Wide(&[2, 2]), None),
-            Some((30, 1, 1))
-        );
+        t.add_packed(codec.pack(&[]), 6);
+        assert_eq!(t.vote(codec.pack(&[]), None, 0.75), Some((4, 9, 10)));
     }
 
     #[test]
@@ -755,44 +568,6 @@ mod tests {
         );
     }
 
-    /// Regression: probing packed tables with a wide key (or vice versa)
-    /// used to hit `unreachable!`. It must instead behave like an unknown
-    /// key so the recommendation chain can fall back.
-    #[test]
-    fn representation_mismatch_probe_is_a_miss_not_a_panic() {
-        let (codec, packed) = tables();
-        assert_eq!(packed.group(KeyRef::Wide(&[0, 1])), None);
-        assert_eq!(packed.vote(KeyRef::Wide(&[0, 1]), None, 0.5), None);
-        assert_eq!(packed.group_majority(KeyRef::Wide(&[0, 1]), None), None);
-
-        let mut wide = VoteTables::new_wide();
-        wide.add_wide(&[0, 1], 10).unwrap();
-        let k = KeyRef::Packed(codec.pack(&[0, 1]));
-        assert_eq!(wide.group(k), None);
-        assert_eq!(wide.vote(k, None, 0.0), None);
-        assert_eq!(wide.group_majority(k, None), None);
-    }
-
-    /// Regression: a mismatched add must fail cleanly and leave both the
-    /// group store and the overall table untouched.
-    #[test]
-    fn representation_mismatch_add_is_an_error_without_side_effects() {
-        let (codec, mut packed) = tables();
-        let before = packed.clone();
-        assert_eq!(
-            packed.add_wide(&[0, 1], 10),
-            Err(KeyShapeMismatch { tables_wide: false })
-        );
-        assert_eq!(packed, before, "failed add must not touch overall totals");
-
-        let mut wide = VoteTables::new_wide();
-        let err = wide.add_packed(codec.pack(&[0, 1]), 10).unwrap_err();
-        assert_eq!(err, KeyShapeMismatch { tables_wide: true });
-        assert_eq!(wide.total(), 0);
-        assert_eq!(wide.n_groups(), 0);
-        assert!(err.to_string().contains("representation mismatch"));
-    }
-
     /// Freezing is a pure re-layout: every query surface — equality
     /// itself, group lookups, votes, prefix aggregation, the wire form —
     /// must answer identically before and after.
@@ -805,7 +580,7 @@ mod tests {
         assert_eq!(frozen.n_groups(), unfrozen.n_groups());
         assert_eq!(frozen.total(), unfrozen.total());
         for key in [[0u16, 1], [2, 2], [1, 0]] {
-            let k = KeyRef::Packed(codec.pack(&key));
+            let k = codec.pack(&key);
             assert_eq!(frozen.group(k), unfrozen.group(k), "group {key:?}");
             assert_eq!(frozen.vote(k, None, 0.75), unfrozen.vote(k, None, 0.75));
             for l in 0..=key.len() {
@@ -841,23 +616,23 @@ mod tests {
             }
             let k = codec.pack(&[2, 2]);
             for _ in 0..3 {
-                t.remove_packed(k, 30).unwrap();
+                t.remove_packed(k, 30);
             }
             assert_eq!(t.n_groups(), 1, "emptied group must be excised");
             assert_eq!(t.total(), 9);
-            assert_eq!(t.group(KeyRef::Packed(k)), None);
+            assert_eq!(t.group(k), None);
             // The emptied group's prefix no longer aggregates anything.
             let mut frozen = t.clone();
             frozen.freeze();
             assert_eq!(
-                frozen.prefix_aggregate(&codec, KeyRef::Packed(k), 1),
+                frozen.prefix_aggregate(&codec, k, 1),
                 None,
                 "removed-out prefix must be a miss, not a stale empty table"
             );
             // Add-after-remove lands in a fresh group.
-            t.add_packed(k, 31).unwrap();
+            t.add_packed(k, 31);
             assert_eq!(t.n_groups(), 2);
-            assert_eq!(t.vote(KeyRef::Packed(k), None, 0.75), Some((31, 1, 1)));
+            assert_eq!(t.vote(k, None, 0.75), Some((31, 1, 1)));
         }
     }
 
@@ -865,21 +640,7 @@ mod tests {
     #[should_panic(expected = "never observed")]
     fn remove_packed_from_unknown_group_panics() {
         let (codec, mut t) = tables();
-        t.remove_packed(codec.pack(&[1, 0]), 10).unwrap();
-    }
-
-    /// `remove_packed` against wide tables fails cleanly, like the
-    /// mismatched adds.
-    #[test]
-    fn remove_packed_on_wide_tables_is_an_error_without_side_effects() {
-        let mut wide = VoteTables::new_wide();
-        wide.add_wide(&[0, 1], 10).unwrap();
-        let before = wide.clone();
-        assert_eq!(
-            wide.remove_packed(7, 10),
-            Err(KeyShapeMismatch { tables_wide: true })
-        );
-        assert_eq!(wide, before);
+        t.remove_packed(codec.pack(&[1, 0]), 10);
     }
 
     /// thaw is the exact inverse of freeze: a thaw/patch/freeze cycle
@@ -893,17 +654,17 @@ mod tests {
         assert_eq!(t, frozen, "thaw preserves contents");
         // Patch while thawed, then freeze: identical to a fresh fit of
         // the patched stream.
-        t.remove_packed(codec.pack(&[0, 1]), 20).unwrap();
-        t.add_packed(codec.pack(&[1, 1]), 40).unwrap();
+        t.remove_packed(codec.pack(&[0, 1]), 20);
+        t.add_packed(codec.pack(&[1, 1]), 40);
         t.freeze();
         let mut fresh = VoteTables::new();
         for _ in 0..8 {
-            fresh.add_packed(codec.pack(&[0, 1]), 10).unwrap();
+            fresh.add_packed(codec.pack(&[0, 1]), 10);
         }
         for _ in 0..3 {
-            fresh.add_packed(codec.pack(&[2, 2]), 30).unwrap();
+            fresh.add_packed(codec.pack(&[2, 2]), 30);
         }
-        fresh.add_packed(codec.pack(&[1, 1]), 40).unwrap();
+        fresh.add_packed(codec.pack(&[1, 1]), 40);
         fresh.freeze();
         assert_eq!(t, fresh);
         // Idempotent on both ends.
@@ -927,31 +688,22 @@ mod tests {
                 single.freeze();
             }
             let k = codec.pack(&[1, 2]);
-            assert!(!bulk.add_packed_count(k, 12, 4).unwrap());
+            assert!(!bulk.add_packed_count(k, 12, 4));
             for _ in 0..4 {
-                single.add_packed(k, 12).unwrap();
+                single.add_packed(k, 12);
             }
             bulk.freeze();
             single.freeze();
             assert_eq!(bulk, single);
             // Zero count is a no-op.
             let before = bulk.clone();
-            assert!(!bulk.add_packed_count(k, 12, 0).unwrap());
+            assert!(!bulk.add_packed_count(k, 12, 0));
             assert_eq!(bulk, before);
             // A count that would push past usize::MAX clamps and reports.
-            assert!(bulk.add_packed_count(k, 12, usize::MAX).unwrap());
+            assert!(bulk.add_packed_count(k, 12, usize::MAX));
             assert_eq!(bulk.total(), usize::MAX);
             assert_eq!(bulk.overall().count(12), usize::MAX);
         }
-        // Wide stores reject the packed bulk form without side effects.
-        let mut wide = VoteTables::new_wide();
-        wide.add_wide(&[0, 1], 10).unwrap();
-        let before = wide.clone();
-        assert_eq!(
-            wide.add_packed_count(7, 10, 2),
-            Err(KeyShapeMismatch { tables_wide: true })
-        );
-        assert_eq!(wide, before);
     }
 
     /// A prefix run holding a single group aggregates to exactly that
@@ -960,7 +712,7 @@ mod tests {
     fn singleton_run_prefix_is_identity() {
         let (codec, mut t) = tables();
         t.freeze();
-        let k = KeyRef::Packed(codec.pack(&[2, 2]));
+        let k = codec.pack(&[2, 2]);
         let agg = t.prefix_aggregate(&codec, k, 1).expect("run exists");
         assert_eq!(&agg, t.group(k).unwrap());
     }
@@ -971,18 +723,18 @@ mod tests {
     fn prefix_aggregate_degenerate_levels() {
         let (codec, mut t) = tables();
         t.freeze();
-        let k = KeyRef::Packed(codec.pack(&[0, 1]));
+        let k = codec.pack(&[0, 1]);
         assert_eq!(t.prefix_aggregate(&codec, k, 2).as_ref(), t.group(k));
         assert_eq!(t.prefix_aggregate(&codec, k, 0).as_ref(), Some(t.overall()));
         // A prefix nothing was recorded under aggregates nothing.
-        let miss = KeyRef::Packed(codec.pack(&[1, 0]));
+        let miss = codec.pack(&[1, 0]);
         assert_eq!(t.prefix_aggregate(&codec, miss, 1), None);
     }
 
-    mod packed_wide_differential {
-        //! Differential proptest suite: on any random key stream, packed
-        //! and wide tables must agree on every query surface and on the
-        //! sorted unpacked wire form.
+    mod prefix_differential {
+        //! Differential proptest suite: on any random key stream, on-demand
+        //! prefix aggregation must agree with eagerly built per-level
+        //! tables.
         use super::*;
         use proptest::prelude::*;
 
@@ -1004,61 +756,6 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            #[test]
-            fn packed_and_wide_tables_agree(
-                cards in collection::vec(2u16..6, 1..4),
-                raw_stream in collection::vec((0u64..1_000_000, 0u16..5), 1..40),
-            ) {
-                let codec = PackedKeyCodec::new(&cards);
-                prop_assert!(codec.fits_u128());
-                let stream: Vec<(Vec<u16>, ValueIdx)> = raw_stream
-                    .iter()
-                    .map(|&(raw, v)| (key_from_raw(&cards, raw), v))
-                    .collect();
-                let mut packed = VoteTables::new();
-                let mut wide = VoteTables::new_wide();
-                for (key, value) in &stream {
-                    packed.add_packed(codec.pack(key), *value).unwrap();
-                    wide.add_wide(key, *value).unwrap();
-                }
-                prop_assert_eq!(packed.n_groups(), wide.n_groups());
-                prop_assert_eq!(packed.total(), wide.total());
-
-                // Every observed key agrees across thresholds and
-                // leave-one-out exclusions. Excluding a value absent from
-                // the table is a contract violation (it panics), so each
-                // probe only excludes values actually recorded in that
-                // key's group.
-                for (key, value) in &stream {
-                    let pk = KeyRef::Packed(codec.pack(key));
-                    let wk = KeyRef::Wide(key);
-                    for exclude in [None, Some(*value)] {
-                        for threshold in [0.0, 0.5, 0.75, 1.0] {
-                            prop_assert_eq!(
-                                packed.vote(pk, exclude, threshold),
-                                wide.vote(wk, exclude, threshold),
-                                "vote key={:?} exclude={:?} threshold={}",
-                                key, exclude, threshold
-                            );
-                        }
-                        prop_assert_eq!(
-                            packed.group_majority(pk, exclude),
-                            wide.group_majority(wk, exclude)
-                        );
-                        prop_assert_eq!(
-                            packed.overall_majority(exclude),
-                            wide.overall_majority(exclude)
-                        );
-                    }
-                }
-
-                // Identical wire form: same sorted keys, same tables.
-                let len = cards.len();
-                let pw = packed.unpacked_groups(&codec, len);
-                let ww = wide.unpacked_groups(&codec, len);
-                prop_assert_eq!(pw, ww);
-            }
-
             /// On-demand prefix aggregation over the frozen sorted store
             /// must equal per-level tables built eagerly from the same
             /// stream — the storage scheme the fitted path replaced.
@@ -1067,7 +764,7 @@ mod tests {
                 cards in collection::vec(2u16..6, 1..4),
                 raw_stream in collection::vec((0u64..1_000_000, 0u16..5), 1..40),
             ) {
-                let codec = PackedKeyCodec::new(&cards);
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let n = cards.len();
                 let mut full = VoteTables::new();
                 let mut eager: Vec<VoteTables> =
@@ -1075,9 +772,9 @@ mod tests {
                 for &(raw, value) in &raw_stream {
                     let key = key_from_raw(&cards, raw);
                     let k = codec.pack(&key);
-                    full.add_packed(k, value).unwrap();
+                    full.add_packed(k, value);
                     for (l, t) in eager.iter_mut().enumerate() {
-                        t.add_packed(codec.prefix(k, l), value).unwrap();
+                        t.add_packed(codec.prefix(k, l), value);
                     }
                 }
                 full.freeze();
@@ -1086,10 +783,10 @@ mod tests {
                     let k = codec.pack(&key);
                     for (l, level) in eager.iter().enumerate() {
                         let agg = full
-                            .prefix_aggregate(&codec, KeyRef::Packed(k), l)
+                            .prefix_aggregate(&codec, k, l)
                             .expect("observed key: every prefix level is populated");
                         let table = level
-                            .group(KeyRef::Packed(codec.prefix(k, l)))
+                            .group(codec.prefix(k, l))
                             .expect("eager level table holds the prefix");
                         prop_assert_eq!(
                             &agg, table,
@@ -1104,8 +801,8 @@ mod tests {
                         let key = key_from_raw(&cards, probe);
                         let k = codec.pack(&key);
                         let eager_hit =
-                            level.group(KeyRef::Packed(codec.prefix(k, l))).cloned();
-                        let agg = full.prefix_aggregate(&codec, KeyRef::Packed(k), l);
+                            level.group(codec.prefix(k, l)).cloned();
+                        let agg = full.prefix_aggregate(&codec, k, l);
                         prop_assert_eq!(agg, eager_hit, "probe {:?} level {}", key, l);
                     }
                 }
@@ -1121,7 +818,7 @@ mod tests {
                 cards in collection::vec(2u16..6, 1..4),
                 ops in collection::vec((0u64..1_000_000, 0u16..5, 0u8..3), 1..60),
             ) {
-                let codec = PackedKeyCodec::new(&cards);
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let n = cards.len();
                 let mut full = VoteTables::new();
                 full.freeze(); // exercise the frozen add/remove path
@@ -1134,15 +831,15 @@ mod tests {
                     let is_remove = op == 0 && !live.is_empty();
                     if is_remove {
                         let (k, v) = live.swap_remove(raw as usize % live.len());
-                        full.remove_packed(k, v).unwrap();
+                        full.remove_packed(k, v);
                         for (l, t) in eager.iter_mut().enumerate() {
-                            t.remove_packed(codec.prefix(k, l), v).unwrap();
+                            t.remove_packed(codec.prefix(k, l), v);
                         }
                     } else {
                         let k = codec.pack(&key_from_raw(&cards, raw));
-                        full.add_packed(k, value).unwrap();
+                        full.add_packed(k, value);
                         for (l, t) in eager.iter_mut().enumerate() {
-                            t.add_packed(codec.prefix(k, l), value).unwrap();
+                            t.add_packed(codec.prefix(k, l), value);
                         }
                         live.push((k, value));
                     }
@@ -1156,9 +853,9 @@ mod tests {
                     .collect();
                 for k in probes {
                     for (l, level) in eager.iter().enumerate() {
-                        let agg = full.prefix_aggregate(&codec, KeyRef::Packed(k), l);
+                        let agg = full.prefix_aggregate(&codec, k, l);
                         let eager_hit =
-                            level.group(KeyRef::Packed(codec.prefix(k, l))).cloned();
+                            level.group(codec.prefix(k, l)).cloned();
                         prop_assert_eq!(
                             agg, eager_hit,
                             "key {:#x} level {} diverges after deltas", k, l

@@ -9,7 +9,9 @@
 use auric_core::legacy::LegacyCfModel;
 use auric_core::{CfConfig, CfModel, Scope};
 use auric_model::{NetworkSnapshot, ParamKind};
+use auric_netgen::names::build_schema;
 use auric_netgen::{generate, NetScale, TuningKnobs};
+use auric_stats::packed::PackedKeyCodec;
 
 /// Compares the two models over every parameter, probing carriers and
 /// pairs at the given strides (1 = exhaustive).
@@ -140,9 +142,9 @@ fn packed_path_matches_legacy_on_a_seeded_medium_network() {
 fn packed_path_matches_legacy_under_marginal_selection() {
     // The marginal-selection ablation keeps every associated attribute, so
     // pair-wise keys routinely exceed 64 bits. Under the old u64 codec
-    // that forced the wide fallback; the u128 codec must keep every
-    // Table-1 layout on the packed path (the schema's worst case is ~94
-    // bits) and still agree with the legacy oracle on those widest keys.
+    // that forced a wide fallback; the u128 codec keeps every Table-1
+    // layout packed (see `worst_case_schema_layouts_fit_u128`) and must
+    // still agree with the legacy oracle on those widest keys.
     let net = generate(&NetScale::tiny(), &TuningKnobs::default());
     let snap = &net.snapshot;
     let scope = Scope::whole(snap);
@@ -152,25 +154,47 @@ fn packed_path_matches_legacy_under_marginal_selection() {
     };
     let packed = CfModel::fit(snap, &scope, config);
     let legacy = LegacyCfModel::fit(snap, &scope, config);
-    let over_64 = packed
+    let widths: Vec<u32> = packed
         .params()
         .iter()
-        .filter(|pc| {
-            pc.codec()
-                .cards()
-                .iter()
-                .map(|&c| (u16::BITS - c.leading_zeros()).max(1))
-                .sum::<u32>()
-                > 64
-        })
-        .count();
+        .map(|pc| layout_bits(pc.codec().cards()))
+        .collect();
     assert!(
-        over_64 > 0,
+        widths.iter().any(|&w| w > 64),
         "expected at least one over-64-bit layout under marginal selection"
     );
     assert!(
-        packed.params().iter().all(|pc| pc.codec().fits_u128()),
+        widths.iter().all(|&w| w <= 128),
         "every Table-1 layout must fit the u128 packed path"
     );
     assert_equivalent(snap, &packed, &legacy, 3, 17);
+}
+
+/// Reference key width, computed independently of the codec: each
+/// position needs room for its levels plus the probe sentinel.
+fn layout_bits(cards: &[u16]) -> u32 {
+    cards
+        .iter()
+        .map(|&c| (u16::BITS - c.leading_zeros()).max(1))
+        .sum()
+}
+
+/// The precondition that lets vote keys be `u128` only: the widest layout
+/// the Table-1 schema can produce — every attribute on both endpoints of
+/// a pair — fits, from one market up to 16,383, the most whose TAC levels
+/// (4 per market) still fit a `u16`. Fitting relies on this instead of a
+/// wide-key fallback.
+#[test]
+fn worst_case_schema_layouts_fit_u128() {
+    for (n_markets, expected_bits) in [(1, 68), (28, 84), (16_383, 120)] {
+        let schema = build_schema(n_markets);
+        let one_side: Vec<u16> = schema.attr_ids().map(|a| schema.radix(a)).collect();
+        assert_eq!(one_side.len(), 14, "Table 1 has 14 attributes");
+        let cards = [one_side.clone(), one_side].concat();
+        assert_eq!(layout_bits(&cards), expected_bits, "{n_markets} markets");
+        assert!(
+            PackedKeyCodec::new(&cards).is_ok(),
+            "{n_markets} markets: the worst-case pair layout must fit 128 bits"
+        );
+    }
 }

@@ -48,9 +48,12 @@ fn cross_fit_layout_overlap_shares_physical_columns() {
         if a.dependent != b.dependent {
             continue;
         }
-        let (Some(ca), Some(cb)) = (a.key_column_arc(), b.key_column_arc()) else {
-            continue; // wide layout: no packed column either side
-        };
+        let ca = a
+            .key_column_arc()
+            .expect("fitted parameters carry a key column");
+        let cb = b
+            .key_column_arc()
+            .expect("fitted parameters carry a key column");
         assert!(
             Arc::ptr_eq(&ca, &cb),
             "param {:?}: equal layouts must share one column",

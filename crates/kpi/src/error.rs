@@ -1,6 +1,5 @@
-//! Typed errors for the KPI simulator, mirroring the
-//! `KeyShapeMismatch` pattern in `auric-core`: malformed inputs degrade
-//! into values the caller can route, never aborts.
+//! Typed errors for the KPI simulator: malformed inputs degrade into
+//! values the caller can route, never aborts.
 
 use std::fmt;
 

@@ -7,16 +7,15 @@
 //! serve it straight from the epoch-validated response cache.
 //!
 //! Cold-start and pairwise requests resolve to the packed `u128` vote
-//! key of every fitted parameter (the PR 6 top-aligned codec: one
-//! integer per parameter, resolved **once at admission**) plus the exact
-//! planned-neighbor list — the only other input the local-vote path
-//! reads. Singular and KPI requests are keyed by carrier id: the model
-//! answers them from the carrier's fitted state alone.
+//! key of every fitted parameter (one integer per parameter, resolved
+//! **once at admission**) plus the exact planned-neighbor list — the only
+//! other input the local-vote path reads. Singular and KPI requests are
+//! keyed by carrier id: the model answers them from the carrier's fitted
+//! state alone.
 //!
-//! Resolution returns `None` when the model cannot hand out integer
-//! handles (a layout wider than 128 bits, or a model that does not
-//! cover the catalog); such requests are served unbatched and uncached,
-//! never guessed about.
+//! Resolution cannot fail: every vote key is a `u128`, and a shard
+//! refuses at the swap any model that does not cover its catalog and
+//! schema (see `Shard::install`).
 
 use auric_core::CfModel;
 use auric_model::{CarrierId, NetworkSnapshot};
@@ -48,37 +47,33 @@ pub enum ProbeKey {
     Kpi { carrier: CarrierId },
 }
 
-/// Resolves a request to its probe under `model`. `None` means "no
-/// integer handle": serve it unbatched.
-pub fn resolve(
-    model: &CfModel,
-    snapshot: &NetworkSnapshot,
-    kind: &RequestKind,
-) -> Option<ProbeKey> {
+/// Resolves a request to its probe under `model`, which must cover
+/// `snapshot`'s catalog.
+pub fn resolve(model: &CfModel, snapshot: &NetworkSnapshot, kind: &RequestKind) -> ProbeKey {
     match kind {
-        RequestKind::ColdStart(nc) => Some(ProbeKey::ColdStart {
-            keys: model.probe_singular(snapshot, &nc.attrs)?,
+        RequestKind::ColdStart(nc) => ProbeKey::ColdStart {
+            keys: model.probe_singular(snapshot, &nc.attrs),
             neighbors: nc.neighbors.clone(),
-        }),
+        },
         RequestKind::Pairwise {
             new_carrier,
             neighbor,
         } => {
             let keys = if neighbor.index() < snapshot.n_carriers() {
                 let dst = &snapshot.carrier(*neighbor).attrs;
-                model.probe_pairwise(snapshot, &new_carrier.attrs, dst)?
+                model.probe_pairwise(snapshot, &new_carrier.attrs, dst)
             } else {
                 // No relation to configure; the primary body is empty
                 // regardless of the new carrier's attributes.
                 Vec::new()
             };
-            Some(ProbeKey::Pairwise {
+            ProbeKey::Pairwise {
                 keys,
                 neighbor: *neighbor,
                 neighbors: new_carrier.neighbors.clone(),
-            })
+            }
         }
-        RequestKind::Singular { carrier } => Some(ProbeKey::Singular { carrier: *carrier }),
-        RequestKind::Kpi { carrier } => Some(ProbeKey::Kpi { carrier: *carrier }),
+        RequestKind::Singular { carrier } => ProbeKey::Singular { carrier: *carrier },
+        RequestKind::Kpi { carrier } => ProbeKey::Kpi { carrier: *carrier },
     }
 }

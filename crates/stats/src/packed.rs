@@ -24,15 +24,13 @@
 //!
 //! The width was `u64` until paper-scale fits proved that too small: with
 //! 2.2M samples the chi-square dependency selection keeps enough
-//! attributes that pairwise layouts routinely cross 64 bits, and the wide
-//! fallback's per-group boxed keys dominated peak RSS. 128 bits cover
-//! every layout the Table-1 schema can produce (worst case ~94 bits with
-//! all 14 attributes selected on both pair endpoints). When a layout
-//! still exceeds 128 bits (only reachable under exotic schemas), the
-//! codec reports `fits_u128() == false` and callers fall back to a wide
-//! `Box<[u16]>` key representation; [`PackedKeyCodec::clamp`] applies the
-//! same sentinel collapse there so both representations agree on probe
-//! semantics.
+//! attributes that pairwise layouts routinely cross 64 bits. 128 bits
+//! cover every layout the Table-1 schema can produce: the worst case, all
+//! 14 attributes on both pair endpoints, needs 84 bits at 28 markets and
+//! 120 bits at 16,383 markets, the most whose TAC levels still fit a
+//! `u16` (pinned by `crates/core/tests/equivalence.rs`). A `u128` is the
+//! only key representation: [`PackedKeyCodec::new`] refuses a wider
+//! layout with [`LayoutTooWide`].
 
 use std::hash::{BuildHasher, Hasher};
 
@@ -46,9 +44,27 @@ pub struct PackedKeyCodec {
     shifts: Vec<u8>,
     /// `masks[l]` selects the first `l` positions (`masks[n]` = all).
     masks: Vec<u128>,
-    /// Total bits required; layouts over 128 bits do not fit a `u128`.
-    total_bits: u32,
 }
+
+/// The error [`PackedKeyCodec::new`] returns for a layout that needs more
+/// than 128 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayoutTooWide {
+    /// Bits the layout would need.
+    pub bits: u32,
+}
+
+impl std::fmt::Display for LayoutTooWide {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "vote-key layout needs {} bits; keys pack into 128",
+            self.bits
+        )
+    }
+}
+
+impl std::error::Error for LayoutTooWide {}
 
 /// Bits needed to store levels `0..=card` (the sentinel included).
 #[inline]
@@ -57,35 +73,34 @@ fn field_width(card: u16) -> u32 {
 }
 
 impl PackedKeyCodec {
-    /// Builds the layout for positions with the given cardinalities.
-    pub fn new(cards: &[u16]) -> Self {
-        let total_bits: u32 = cards.iter().map(|&c| field_width(c)).sum();
-        let fits = total_bits <= 128;
+    /// Builds the layout for positions with the given cardinalities, or
+    /// refuses one wider than 128 bits.
+    pub fn new(cards: &[u16]) -> Result<Self, LayoutTooWide> {
+        let bits: u32 = cards.iter().map(|&c| field_width(c)).sum();
+        if bits > 128 {
+            return Err(LayoutTooWide { bits });
+        }
         // Shifts descend from the top: position i's field ends where
         // position i+1's begins. `cum` is the width of the first i
-        // positions; a non-fitting layout never packs, so its shifts are
-        // pinned to 0 rather than left as out-of-range shift amounts.
+        // positions.
         let mut shifts = Vec::with_capacity(cards.len());
         let mut masks = Vec::with_capacity(cards.len() + 1);
         let mut cum = 0u32;
         masks.push(0);
         for &c in cards {
             cum += field_width(c);
-            shifts.push(if fits { (128 - cum) as u8 } else { 0 });
-            masks.push(if !fits {
-                0
-            } else if cum >= 128 {
+            shifts.push((128 - cum) as u8);
+            masks.push(if cum >= 128 {
                 u128::MAX
             } else {
                 !(u128::MAX >> cum)
             });
         }
-        Self {
+        Ok(Self {
             cards: cards.to_vec(),
             shifts,
             masks,
-            total_bits,
-        }
+        })
     }
 
     /// Number of key positions.
@@ -96,12 +111,6 @@ impl PackedKeyCodec {
     /// Per-position cardinalities (the layout's defining input).
     pub fn cards(&self) -> &[u16] {
         &self.cards
-    }
-
-    /// Whether the whole key fits one `u128`.
-    #[inline]
-    pub fn fits_u128(&self) -> bool {
-        self.total_bits <= 128
     }
 
     /// Clamps a level to the position's range, collapsing every
@@ -118,11 +127,9 @@ impl PackedKeyCodec {
     /// Packs the first `vals.len()` positions (`vals.len() <= n_positions`).
     ///
     /// # Panics
-    /// Debug-panics if the layout does not fit a `u128` or `vals` is longer
-    /// than the layout.
+    /// Debug-panics if `vals` is longer than the layout.
     #[inline]
     pub fn pack(&self, vals: &[u16]) -> u128 {
-        debug_assert!(self.fits_u128(), "packing a wide layout");
         debug_assert!(vals.len() <= self.cards.len());
         let mut key = 0u128;
         for (i, &v) in vals.iter().enumerate() {
@@ -134,7 +141,6 @@ impl PackedKeyCodec {
     /// Packs a full key reading position `i`'s level from `level(i)`.
     #[inline]
     pub fn pack_with(&self, mut level: impl FnMut(usize) -> u16) -> u128 {
-        debug_assert!(self.fits_u128(), "packing a wide layout");
         let mut key = 0u128;
         for i in 0..self.cards.len() {
             key |= (self.clamp_level(i, level(i)) as u128) << self.shifts[i];
@@ -164,17 +170,6 @@ impl PackedKeyCodec {
     #[inline]
     pub fn prefix(&self, key: u128, l: usize) -> u128 {
         key & self.masks[l]
-    }
-
-    /// Sentinel-clamps an unpacked key for the wide (over-128-bit) fallback
-    /// representation, so out-of-range probe levels collapse identically
-    /// in both representations.
-    pub fn clamp(&self, vals: &[u16]) -> Vec<u16> {
-        debug_assert!(vals.len() <= self.cards.len());
-        vals.iter()
-            .enumerate()
-            .map(|(i, &v)| self.clamp_level(i, v))
-            .collect()
     }
 }
 
@@ -257,8 +252,7 @@ mod tests {
 
     #[test]
     fn round_trips_in_range_keys() {
-        let codec = PackedKeyCodec::new(&[3, 1, 20, 5]);
-        assert!(codec.fits_u128());
+        let codec = PackedKeyCodec::new(&[3, 1, 20, 5]).unwrap();
         let vals = [2u16, 0, 19, 4];
         let key = codec.pack(&vals);
         assert_eq!(codec.unpack(key, 4), vals);
@@ -267,7 +261,7 @@ mod tests {
 
     #[test]
     fn prefix_mask_equals_prefix_packing() {
-        let codec = PackedKeyCodec::new(&[4, 7, 2, 30]);
+        let codec = PackedKeyCodec::new(&[4, 7, 2, 30]).unwrap();
         let vals = [3u16, 6, 1, 29];
         let key = codec.pack(&vals);
         for l in 0..=vals.len() {
@@ -277,7 +271,7 @@ mod tests {
 
     #[test]
     fn out_of_range_levels_collapse_to_the_sentinel() {
-        let codec = PackedKeyCodec::new(&[3, 5]);
+        let codec = PackedKeyCodec::new(&[3, 5]).unwrap();
         // Different impossible probe levels agree with each other…
         assert_eq!(codec.pack(&[u16::MAX, 2]), codec.pack(&[3, 2]));
         assert_eq!(codec.pack(&[100, 2]), codec.pack(&[u16::MAX, 2]));
@@ -289,31 +283,28 @@ mod tests {
 
     #[test]
     fn empty_layout_packs_to_zero() {
-        let codec = PackedKeyCodec::new(&[]);
-        assert!(codec.fits_u128());
+        let codec = PackedKeyCodec::new(&[]).unwrap();
         assert_eq!(codec.pack(&[]), 0);
         assert_eq!(codec.unpack(0, 0), Vec::<u16>::new());
     }
 
     #[test]
-    fn oversized_layouts_report_no_fit() {
+    fn oversized_layouts_are_refused() {
         // 22 positions × 6 bits (card 32 ⇒ levels 0..=32) = 132 bits.
-        let cards = vec![32u16; 22];
-        let codec = PackedKeyCodec::new(&cards);
-        assert!(!codec.fits_u128());
-        // Clamping still applies sentinel semantics for the wide fallback.
-        assert_eq!(codec.clamp(&[u16::MAX; 22]), vec![32u16; 22]);
+        assert_eq!(
+            PackedKeyCodec::new(&[32u16; 22]),
+            Err(LayoutTooWide { bits: 132 })
+        );
         // 13 positions (78 bits) overflowed the old u64 layout; they are
         // exactly why the codec moved to u128.
-        assert!(PackedKeyCodec::new(&[32u16; 13]).fits_u128());
+        assert!(PackedKeyCodec::new(&[32u16; 13]).is_ok());
     }
 
     #[test]
     fn exact_128_bit_layout_fits() {
         // 16 positions × 8 bits (card 255 ⇒ levels 0..=255 need 8 bits).
         let cards = vec![255u16; 16];
-        let codec = PackedKeyCodec::new(&cards);
-        assert!(codec.fits_u128());
+        let codec = PackedKeyCodec::new(&cards).unwrap();
         let vals: Vec<u16> = (0..16).map(|i| 15 * i).collect();
         let key = codec.pack(&vals);
         assert_eq!(codec.unpack(key, 16), vals);
@@ -325,7 +316,7 @@ mod tests {
         // The property the sorted group storage depends on: comparing
         // packed keys as integers == comparing unpacked keys position by
         // position, so prefix groups are contiguous runs after sorting.
-        let codec = PackedKeyCodec::new(&[2, 300, 3]);
+        let codec = PackedKeyCodec::new(&[2, 300, 3]).unwrap();
         let mut unpacked = Vec::new();
         for a in 0..=2u16 {
             for b in [0u16, 1, 37, 299, 300] {
@@ -343,7 +334,7 @@ mod tests {
     fn distinct_keys_pack_distinctly() {
         // Exhaustive over a small layout: packing is injective on the
         // (sentinel-extended) level grid.
-        let codec = PackedKeyCodec::new(&[2, 3]);
+        let codec = PackedKeyCodec::new(&[2, 3]).unwrap();
         let mut seen = std::collections::HashSet::new();
         for a in 0..=2u16 {
             for b in 0..=3u16 {
@@ -364,6 +355,12 @@ mod tests {
                 .sum()
         }
 
+        /// Reference sentinel clamp: every out-of-range level collapses
+        /// to the position's cardinality.
+        fn clamped(cards: &[u16], vals: &[u16]) -> Vec<u16> {
+            vals.iter().zip(cards).map(|(&v, &c)| v.min(c)).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -373,10 +370,10 @@ mod tests {
             fn pack_unpack_round_trips(spec in collection::vec((1u16..40, 0u16..80), 0..12)) {
                 let cards: Vec<u16> = spec.iter().map(|&(c, _)| c).collect();
                 let vals: Vec<u16> = spec.iter().map(|&(_, v)| v).collect();
-                let codec = PackedKeyCodec::new(&cards);
-                prop_assert!(codec.fits_u128(), "12 positions × ≤6 bits always fit");
+                // 12 positions × ≤6 bits always fit.
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let key = codec.pack(&vals);
-                let clamped = codec.clamp(&vals);
+                let clamped = clamped(&cards, &vals);
                 for l in 0..=vals.len() {
                     prop_assert_eq!(codec.unpack(codec.prefix(key, l), l), &clamped[..l]);
                 }
@@ -390,26 +387,27 @@ mod tests {
             ) {
                 let cards: Vec<u16> = spec.iter().map(|&(c, _)| c).collect();
                 let vals: Vec<u16> = spec.iter().map(|&(_, v)| v).collect();
-                let codec = PackedKeyCodec::new(&cards);
-                prop_assert!(codec.fits_u128(), "9 positions × ≤9 bits always fit");
+                // 9 positions × ≤9 bits always fit.
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let key = codec.pack(&vals);
                 for l in 0..=vals.len() {
                     prop_assert_eq!(codec.prefix(key, l), codec.pack(&vals[..l]));
                 }
             }
 
-            /// `fits_u128` agrees with an independent width computation,
-            /// and wide layouts still clamp for the fallback representation.
+            /// The codec refuses a layout exactly when an independent
+            /// width computation exceeds 128 bits, and reports that width.
             #[test]
             fn overflow_detection_matches_reference(
                 cards in collection::vec(1u16..2000, 0..24),
             ) {
-                let codec = PackedKeyCodec::new(&cards);
-                prop_assert_eq!(codec.fits_u128(), expected_bits(&cards) <= 128);
-                let probe: Vec<u16> = cards.iter().map(|_| u16::MAX).collect();
-                let clamped = codec.clamp(&probe);
-                for (i, &c) in cards.iter().enumerate() {
-                    prop_assert_eq!(clamped[i], c, "sentinel at position {}", i);
+                let bits = expected_bits(&cards);
+                match PackedKeyCodec::new(&cards) {
+                    Ok(_) => prop_assert!(bits <= 128, "{} bits accepted", bits),
+                    Err(e) => {
+                        prop_assert!(bits > 128, "{} bits refused", bits);
+                        prop_assert_eq!(e, LayoutTooWide { bits });
+                    }
                 }
             }
 
@@ -422,11 +420,10 @@ mod tests {
                 a_seed in collection::vec(0u16..600, 9..10),
                 b_seed in collection::vec(0u16..600, 9..10),
             ) {
-                let codec = PackedKeyCodec::new(&cards);
-                prop_assert!(codec.fits_u128());
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let a: Vec<u16> = a_seed[..cards.len()].to_vec();
                 let b: Vec<u16> = b_seed[..cards.len()].to_vec();
-                let (ca, cb) = (codec.clamp(&a), codec.clamp(&b));
+                let (ca, cb) = (clamped(&cards, &a), clamped(&cards, &b));
                 prop_assert_eq!(codec.pack(&a).cmp(&codec.pack(&b)), ca.cmp(&cb));
             }
 
@@ -437,8 +434,7 @@ mod tests {
                 cards in collection::vec(1u16..50, 1..10),
                 pos_seed in 0usize..1000,
             ) {
-                let codec = PackedKeyCodec::new(&cards);
-                prop_assert!(codec.fits_u128());
+                let codec = PackedKeyCodec::new(&cards).unwrap();
                 let pos = pos_seed % cards.len();
                 let mut probe: Vec<u16> = cards.iter().map(|&c| c / 2).collect();
                 probe[pos] = u16::MAX;
