@@ -851,19 +851,25 @@ impl CfModel {
             .collect()
     }
 
-    /// Resolves a directed pair's serving probe: the packed vote key of
-    /// every pair-wise parameter, in `catalog.pairwise_ids()` order.
+    /// Resolves the serving probe of the directed pair from a carrier
+    /// with attributes `src` toward the existing carrier `neighbor`: the
+    /// packed vote key of every pair-wise parameter, in
+    /// `catalog.pairwise_ids()` order. A `neighbor` the snapshot does not
+    /// know has no relation to configure and resolves to no keys.
     /// Same contract as [`CfModel::probe_singular`].
     pub fn probe_pairwise(
         &self,
         snapshot: &NetworkSnapshot,
         src: &AttrVec,
-        dst: &AttrVec,
+        neighbor: CarrierId,
     ) -> Vec<u128> {
+        let Some(dst) = snapshot.carriers.get(neighbor.index()) else {
+            return Vec::new();
+        };
         snapshot
             .catalog
             .pairwise_ids()
-            .map(|p| self.params[p.index()].packed_for_pair(src, dst))
+            .map(|p| self.params[p.index()].packed_for_pair(src, &dst.attrs))
             .collect()
     }
 

@@ -43,6 +43,7 @@ pub use cf::{
 pub use dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 pub use mismatch::{label_for, MismatchLabel, MismatchReport};
 pub use recommend::{
-    recommend_pairwise, recommend_singular, ConfigRecommendation, NewCarrier, Rendered,
+    recommend_pairwise, recommend_pairwise_keyed, recommend_singular, recommend_singular_keyed,
+    ConfigRecommendation, NewCarrier, Rendered,
 };
 pub use scope::Scope;

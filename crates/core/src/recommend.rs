@@ -7,9 +7,9 @@
 //! interpretability the paper's §5 "lessons learned" calls essential for
 //! adoption.
 
-use crate::cf::{Basis, CfModel, Recommendation};
+use crate::cf::{Basis, CfModel, ParamCf, Recommendation};
 use crate::dependency::{PredictorAttr, Side};
-use auric_model::{AttrValue, AttrVec, CarrierId, NetworkSnapshot, ParamId};
+use auric_model::{AttrValue, AttrVec, CarrierId, NetworkSnapshot, PairIdx, ParamId};
 use auric_stats::freq::FreqTable;
 use serde::{Deserialize, Serialize};
 
@@ -84,7 +84,22 @@ pub fn recommend_singular(
     model: &CfModel,
     new_carrier: &NewCarrier,
 ) -> Vec<ConfigRecommendation> {
-    let obs = model.recorder();
+    let keys = model.probe_singular(snapshot, &new_carrier.attrs);
+    recommend_singular_keyed(snapshot, model, new_carrier, &keys)
+}
+
+/// [`recommend_singular`] with the new carrier's vote keys already
+/// packed: `keys` is [`CfModel::probe_singular`] of its attributes, one
+/// key per singular parameter in `catalog.singular_ids()` order. The
+/// serving layer resolves exactly these keys at admission, so the
+/// recommender votes with the probe it was admitted under.
+pub fn recommend_singular_keyed(
+    snapshot: &NetworkSnapshot,
+    model: &CfModel,
+    new_carrier: &NewCarrier,
+    keys: &[u128],
+) -> Vec<ConfigRecommendation> {
+    debug_assert_eq!(keys.len(), snapshot.catalog.singular_ids().count());
     // Planned neighbors come from an external radio-planning tool; one
     // that names a carrier the snapshot has never heard of must not take
     // the whole recommendation down (it used to index out of bounds).
@@ -93,11 +108,11 @@ pub fn recommend_singular(
     snapshot
         .catalog
         .singular_ids()
-        .map(|p| {
+        .zip(keys)
+        .map(|(p, &key)| {
             let pc = model.param(p);
             // Local vote over the planned neighbors with matching keys:
             // integer compares against the fitted key column.
-            let key = pc.packed_for_carrier(&new_carrier.attrs);
             let col = pc.carrier_keys();
             let mut table = FreqTable::new();
             for &n in &neighbors {
@@ -112,21 +127,7 @@ pub fn recommend_singular(
                     table.add(snapshot.config.value(p, n));
                 }
             }
-            obs.inc("cf.coldstart.total");
-            let rec = if let Some((value, support, voters)) =
-                table.majority_with_support_excluding(None, model.config.support)
-            {
-                obs.inc("cf.coldstart.local_vote");
-                Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters,
-                }
-            } else {
-                obs.inc("cf.coldstart.fallback");
-                model.global_chain(pc, key, None)
-            };
+            let rec = local_or_global(model, pc, key, &table);
             explain(snapshot, model, p, &new_carrier.attrs, None, rec)
         })
         .collect()
@@ -139,83 +140,127 @@ pub fn recommend_singular(
 /// never heard of) yields no recommendations — there is no relation to
 /// configure — and bumps the `cf.coldstart.unknown_neighbor` counter
 /// instead of panicking.
+///
+/// The local vote scans the directed pairs sourced at the planned
+/// neighbors, enumerated once per request (see `candidate_pairs`). A
+/// pair whose reverse direction is missing is skipped and counted in
+/// `cf.coldstart.asymmetric_pair` once per request, not once per
+/// parameter.
 pub fn recommend_pairwise(
     snapshot: &NetworkSnapshot,
     model: &CfModel,
     new_carrier: &NewCarrier,
     neighbor: CarrierId,
 ) -> Vec<ConfigRecommendation> {
+    let keys = model.probe_pairwise(snapshot, &new_carrier.attrs, neighbor);
+    recommend_pairwise_keyed(snapshot, model, new_carrier, neighbor, &keys)
+}
+
+/// [`recommend_pairwise`] with the pair's vote keys already packed:
+/// `keys` is [`CfModel::probe_pairwise`] from the new carrier toward
+/// `neighbor`, one key per pair-wise parameter in
+/// `catalog.pairwise_ids()` order (empty when `neighbor` is unknown).
+/// The serving layer resolves exactly these keys at admission.
+pub fn recommend_pairwise_keyed(
+    snapshot: &NetworkSnapshot,
+    model: &CfModel,
+    new_carrier: &NewCarrier,
+    neighbor: CarrierId,
+    keys: &[u128],
+) -> Vec<ConfigRecommendation> {
     let obs = model.recorder();
     if neighbor.index() >= snapshot.n_carriers() {
         obs.inc("cf.coldstart.unknown_neighbor");
         return Vec::new();
     }
+    debug_assert_eq!(keys.len(), snapshot.catalog.pairwise_ids().count());
     let neighbors = known_neighbors(snapshot, model, &new_carrier.neighbors);
+    let candidates = candidate_pairs(snapshot, model, &neighbors);
     let dst = &snapshot.carrier(neighbor).attrs;
     snapshot
         .catalog
         .pairwise_ids()
-        .map(|p| {
+        .zip(keys)
+        .map(|(p, &key)| {
             let pc = model.param(p);
-            let key = pc.packed_for_pair(&new_carrier.attrs, dst);
-            // Local vote over pairs sourced at the planned neighbors,
-            // reading keys off the fitted pair column when available.
-            //
-            // Scanning only `pairs_from(n)` (pairs whose *source* is a
-            // planned neighbor) still covers both directions of every
-            // relation between planned neighbors: `X2Graph::from_edges`
-            // stores each undirected edge as two directed pairs, so the
-            // reverse pair (m, n) is enumerated when the scan reaches
-            // source `m` (`validate()` enforces this symmetry, and
-            // `pairwise_scan_covers_both_directions` below pins it). A
-            // graph that nonetheless arrives asymmetric — deserialized
-            // from a foreign inventory export, say — must not poison the
-            // vote with unpaired directions: those pairs are skipped and
-            // counted (`cf.coldstart.asymmetric_pair`) rather than trusted
-            // or panicked over.
-            // Pairs *into* a planned neighbor from a non-planned carrier
-            // are deliberately out of scope — their source is not part of
-            // the new carrier's planned neighborhood, mirroring
-            // `CfModel::recommend_local_pair`.
+            // Keys come off the fitted pair column when it covers the
+            // pair; otherwise the pair's endpoints are packed directly.
             let col = pc.pair_keys();
+            let values = snapshot.config.pair_values_of(p);
             let mut table = FreqTable::new();
-            for &n in &neighbors {
-                for q in snapshot.x2.pairs_from(n) {
-                    let (a, b) = snapshot.x2.pair(q);
-                    if snapshot.x2.pair_idx(b, a).is_none() {
-                        obs.inc("cf.coldstart.asymmetric_pair");
-                        continue;
-                    }
-                    let qkey = match col {
-                        Some(col) if (q as usize) < col.len() => col[q as usize],
-                        _ => pc.packed_for_pair(
-                            &snapshot.carrier(a).attrs,
-                            &snapshot.carrier(b).attrs,
-                        ),
-                    };
-                    if qkey == key {
-                        table.add(snapshot.config.pair_value(p, q));
-                    }
+            for &(q, a, b) in &candidates {
+                let qkey = match col {
+                    Some(col) if (q as usize) < col.len() => col[q as usize],
+                    _ => pc.packed_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs),
+                };
+                if qkey == key {
+                    table.add(values[q as usize]);
                 }
             }
-            obs.inc("cf.coldstart.total");
-            let rec = if let Some((value, support, voters)) =
-                table.majority_with_support_excluding(None, model.config.support)
-            {
-                obs.inc("cf.coldstart.local_vote");
-                Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters,
-                }
-            } else {
-                obs.inc("cf.coldstart.fallback");
-                model.global_chain(pc, key, None)
-            };
+            let rec = local_or_global(model, pc, key, &table);
             explain(snapshot, model, p, &new_carrier.attrs, Some(dst), rec)
         })
         .collect()
+}
+
+/// The directed pairs a pair-wise cold-start vote scans, as
+/// `(pair, source, destination)`: every pair sourced at a planned
+/// neighbor, in planned-neighbor order (a neighbor listed twice is
+/// scanned twice). The list does not depend on the parameter, so it is
+/// built once per request.
+///
+/// Scanning only `pairs_from(n)` (pairs whose *source* is a planned
+/// neighbor) still covers both directions of every relation between
+/// planned neighbors: `X2Graph::from_edges` stores each undirected edge
+/// as two directed pairs, so the reverse pair (m, n) is enumerated when
+/// the scan reaches source `m` (`validate()` enforces this symmetry, and
+/// `pairwise_scan_covers_both_directions` below pins it). A graph that
+/// nonetheless arrives asymmetric — deserialized from a foreign
+/// inventory export, say — must not poison the vote with unpaired
+/// directions: those pairs are skipped and counted
+/// (`cf.coldstart.asymmetric_pair`) rather than trusted or panicked
+/// over. Pairs *into* a planned neighbor from a non-planned carrier are
+/// deliberately out of scope — their source is not part of the new
+/// carrier's planned neighborhood, mirroring
+/// `CfModel::recommend_local_pair`.
+fn candidate_pairs(
+    snapshot: &NetworkSnapshot,
+    model: &CfModel,
+    neighbors: &[CarrierId],
+) -> Vec<(PairIdx, CarrierId, CarrierId)> {
+    let x2 = &snapshot.x2;
+    let mut out = Vec::new();
+    for &n in neighbors {
+        for (q, &b) in x2.pairs_from(n).zip(x2.neighbors(n)) {
+            if x2.pair_idx(b, n).is_none() {
+                model.recorder().inc("cf.coldstart.asymmetric_pair");
+                continue;
+            }
+            out.push((q, n, b));
+        }
+    }
+    out
+}
+
+/// The local vote's majority when it clears the support threshold, else
+/// the global chain on the new carrier's key; counts which one answered.
+fn local_or_global(model: &CfModel, pc: &ParamCf, key: u128, table: &FreqTable) -> Recommendation {
+    let obs = model.recorder();
+    obs.inc("cf.coldstart.total");
+    if let Some((value, support, voters)) =
+        table.majority_with_support_excluding(None, model.config.support)
+    {
+        obs.inc("cf.coldstart.local_vote");
+        Recommendation {
+            value,
+            basis: Basis::LocalVote,
+            support,
+            voters,
+        }
+    } else {
+        obs.inc("cf.coldstart.fallback");
+        model.global_chain(pc, key, None)
+    }
 }
 
 /// Planned neighbors restricted to carriers the snapshot knows. Each
@@ -465,7 +510,9 @@ mod tests {
         };
         let recs = recommend_pairwise(&snap, &model, &nc, CarrierId(0));
         assert_eq!(recs.len(), 26, "still a full recommendation set");
-        assert!(model.recorder().counter("cf.coldstart.asymmetric_pair") >= 1);
+        // One skipped pair, counted once for the request, not once per
+        // pair-wise parameter.
+        assert_eq!(model.recorder().counter("cf.coldstart.asymmetric_pair"), 1);
         // The unpaired direction contributed no voters: nothing local.
         assert!(recs.iter().all(|r| r.basis != Basis::LocalVote));
     }
@@ -552,5 +599,324 @@ mod tests {
             "every parameter kind covered"
         );
         assert!(src > 0 && dst > 0, "both pair sides covered");
+    }
+
+    /// The per-parameter scan `recommend_singular` ran before it took
+    /// packed keys: each key packed inside the parameter loop. The
+    /// differential oracle for the keyed body.
+    fn recommend_singular_oracle(
+        snapshot: &NetworkSnapshot,
+        model: &CfModel,
+        new_carrier: &NewCarrier,
+    ) -> Vec<ConfigRecommendation> {
+        let obs = model.recorder();
+        let neighbors = known_neighbors(snapshot, model, &new_carrier.neighbors);
+        snapshot
+            .catalog
+            .singular_ids()
+            .map(|p| {
+                let pc = model.param(p);
+                let key = pc.packed_for_carrier(&new_carrier.attrs);
+                let col = pc.carrier_keys();
+                let mut table = FreqTable::new();
+                for &n in &neighbors {
+                    let nkey = match col {
+                        Some(col) if n.index() < col.len() => col[n.index()],
+                        _ => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
+                    };
+                    if nkey == key {
+                        table.add(snapshot.config.value(p, n));
+                    }
+                }
+                obs.inc("cf.coldstart.total");
+                let rec = if let Some((value, support, voters)) =
+                    table.majority_with_support_excluding(None, model.config.support)
+                {
+                    obs.inc("cf.coldstart.local_vote");
+                    Recommendation {
+                        value,
+                        basis: Basis::LocalVote,
+                        support,
+                        voters,
+                    }
+                } else {
+                    obs.inc("cf.coldstart.fallback");
+                    model.global_chain(pc, key, None)
+                };
+                explain(snapshot, model, p, &new_carrier.attrs, None, rec)
+            })
+            .collect()
+    }
+
+    /// The per-parameter scan `recommend_pairwise` ran before the
+    /// candidate pairs were enumerated once per request: every parameter
+    /// re-walks the planned neighborhood, resolving each pair's endpoints
+    /// with `x2.pair(q)` and checking its reverse direction again. The
+    /// differential oracle for the one-scan kernel.
+    fn recommend_pairwise_oracle(
+        snapshot: &NetworkSnapshot,
+        model: &CfModel,
+        new_carrier: &NewCarrier,
+        neighbor: CarrierId,
+    ) -> Vec<ConfigRecommendation> {
+        let obs = model.recorder();
+        if neighbor.index() >= snapshot.n_carriers() {
+            obs.inc("cf.coldstart.unknown_neighbor");
+            return Vec::new();
+        }
+        let neighbors = known_neighbors(snapshot, model, &new_carrier.neighbors);
+        let dst = &snapshot.carrier(neighbor).attrs;
+        snapshot
+            .catalog
+            .pairwise_ids()
+            .map(|p| {
+                let pc = model.param(p);
+                let key = pc.packed_for_pair(&new_carrier.attrs, dst);
+                let col = pc.pair_keys();
+                let mut table = FreqTable::new();
+                for &n in &neighbors {
+                    for q in snapshot.x2.pairs_from(n) {
+                        let (a, b) = snapshot.x2.pair(q);
+                        if snapshot.x2.pair_idx(b, a).is_none() {
+                            obs.inc("cf.coldstart.asymmetric_pair");
+                            continue;
+                        }
+                        let qkey = match col {
+                            Some(col) if (q as usize) < col.len() => col[q as usize],
+                            _ => pc.packed_for_pair(
+                                &snapshot.carrier(a).attrs,
+                                &snapshot.carrier(b).attrs,
+                            ),
+                        };
+                        if qkey == key {
+                            table.add(snapshot.config.pair_value(p, q));
+                        }
+                    }
+                }
+                obs.inc("cf.coldstart.total");
+                let rec = if let Some((value, support, voters)) =
+                    table.majority_with_support_excluding(None, model.config.support)
+                {
+                    obs.inc("cf.coldstart.local_vote");
+                    Recommendation {
+                        value,
+                        basis: Basis::LocalVote,
+                        support,
+                        voters,
+                    }
+                } else {
+                    obs.inc("cf.coldstart.fallback");
+                    model.global_chain(pc, key, None)
+                };
+                explain(snapshot, model, p, &new_carrier.attrs, Some(dst), rec)
+            })
+            .collect()
+    }
+
+    mod oracle_differential {
+        //! Differential tests: the one-scan pair-wise kernel and the
+        //! keyed entry points against the per-parameter oracles, on
+        //! inputs the generator never produces — unknown, duplicated and
+        //! beyond-the-key-column planned neighbors, asymmetric pair
+        //! storage, and a deserialized model with no key columns.
+
+        use super::*;
+        use auric_model::{apply_fleet_deltas, empty_snapshot, X2Graph};
+        use auric_netgen::stream;
+        use proptest::prelude::*;
+
+        /// The cold-start counters both implementations must move alike.
+        /// `cf.coldstart.asymmetric_pair` is left out: the one-scan
+        /// kernel counts a skipped pair once per request, the oracle once
+        /// per parameter.
+        const COUNTERS: [&str; 4] = [
+            "cf.coldstart.total",
+            "cf.coldstart.local_vote",
+            "cf.coldstart.fallback",
+            "cf.coldstart.unknown_neighbor",
+        ];
+
+        /// A `(snapshot, model)` pair the kernels serve against; every
+        /// model carries its own deterministic recorder.
+        struct World {
+            name: &'static str,
+            snapshot: NetworkSnapshot,
+            model: CfModel,
+        }
+
+        fn with_recorder(mut model: CfModel) -> CfModel {
+            model.set_recorder(auric_obs::Recorder::deterministic());
+            model
+        }
+
+        /// `snapshot.x2` with every `stride`-th directed pair dropped, so
+        /// the reverse directions of the dropped pairs go unpaired. Built
+        /// the way hostile data arrives: through serde.
+        fn drop_pairs(g: &X2Graph, stride: usize) -> X2Graph {
+            let (mut offsets, mut adj) = (vec![0u32], Vec::new());
+            for j in (0..g.n_carriers()).map(CarrierId::from_index) {
+                for (q, &k) in g.pairs_from(j).zip(g.neighbors(j)) {
+                    if !(q as usize).is_multiple_of(stride) {
+                        adj.push(k.0);
+                    }
+                }
+                offsets.push(adj.len() as u32);
+            }
+            let json = format!(
+                "{{\"offsets\":{},\"adj\":{}}}",
+                serde_json::to_string(&offsets).unwrap(),
+                serde_json::to_string(&adj).unwrap()
+            );
+            serde_json::from_str(&json).unwrap()
+        }
+
+        /// The four worlds: the fitted tiny fleet; the same model
+        /// reloaded from JSON (no key columns); the full fleet served by
+        /// a model fitted on its first market only (carriers and pairs
+        /// beyond the fitted columns); and the fitted model over a graph
+        /// with unpaired directions.
+        fn worlds() -> Vec<World> {
+            let (snap, model) = setup();
+            let bytes = serde_json::to_string(&model).unwrap();
+            let loaded = CfModel::from_json_bytes(bytes.as_bytes()).expect("round trip");
+            assert!(loaded
+                .params()
+                .iter()
+                .all(|pc| pc.carrier_keys().is_none() && pc.pair_keys().is_none()));
+
+            let mut s = stream(&NetScale::tiny(), &TuningKnobs::none());
+            let mut first = empty_snapshot(s.schema().clone(), s.catalog().clone());
+            let batch = s.next_batch().expect("first market");
+            apply_fleet_deltas(&mut first, &batch).expect("consistent batch");
+            assert!(first.n_carriers() < snap.n_carriers());
+            let small = CfModel::fit(&first, &Scope::whole(&first), CfConfig::default());
+
+            let mut asym = snap.clone();
+            asym.x2 = drop_pairs(&snap.x2, 7);
+            assert!(
+                asym.x2.validate().is_err(),
+                "graph must really be asymmetric"
+            );
+
+            vec![
+                World {
+                    name: "fitted",
+                    snapshot: snap.clone(),
+                    model: with_recorder(model.clone()),
+                },
+                World {
+                    name: "loaded",
+                    snapshot: snap.clone(),
+                    model: with_recorder(loaded),
+                },
+                World {
+                    name: "fitted on the first market",
+                    snapshot: snap,
+                    model: with_recorder(small),
+                },
+                World {
+                    name: "asymmetric",
+                    snapshot: asym,
+                    model: with_recorder(model),
+                },
+            ]
+        }
+
+        /// Runs `f` and returns its output with the [`COUNTERS`] it moved.
+        fn counted<T>(model: &CfModel, f: impl FnOnce() -> T) -> (T, [u64; 4]) {
+            let read = || COUNTERS.map(|c| model.recorder().counter(c));
+            let before = read();
+            let out = f();
+            let after = read();
+            (out, std::array::from_fn(|i| after[i] - before[i]))
+        }
+
+        /// Asserts every entry point agrees with its oracle on one
+        /// request: output and counters, keyed and unkeyed.
+        fn check(w: &World, nc: &NewCarrier, neighbor: CarrierId) -> Result<(), TestCaseError> {
+            let (snap, model) = (&w.snapshot, &w.model);
+            let ctx = format!(
+                "world {}, neighbors {:?}, target {neighbor}",
+                w.name, nc.neighbors
+            );
+
+            let (want, want_n) = counted(model, || recommend_singular_oracle(snap, model, nc));
+            let (got, got_n) = counted(model, || recommend_singular(snap, model, nc));
+            prop_assert_eq!(&got, &want, "singular: {}", ctx);
+            prop_assert_eq!(got_n, want_n, "singular counters: {}", ctx);
+            let keys = model.probe_singular(snap, &nc.attrs);
+            let (keyed, keyed_n) =
+                counted(model, || recommend_singular_keyed(snap, model, nc, &keys));
+            prop_assert_eq!(&keyed, &want, "keyed singular: {}", ctx);
+            prop_assert_eq!(keyed_n, want_n, "keyed singular counters: {}", ctx);
+
+            let (want, want_n) = counted(model, || {
+                recommend_pairwise_oracle(snap, model, nc, neighbor)
+            });
+            let (got, got_n) = counted(model, || recommend_pairwise(snap, model, nc, neighbor));
+            prop_assert_eq!(&got, &want, "pairwise: {}", ctx);
+            prop_assert_eq!(got_n, want_n, "pairwise counters: {}", ctx);
+            let keys = model.probe_pairwise(snap, &nc.attrs, neighbor);
+            let (keyed, keyed_n) = counted(model, || {
+                recommend_pairwise_keyed(snap, model, nc, neighbor, &keys)
+            });
+            prop_assert_eq!(&keyed, &want, "keyed pairwise: {}", ctx);
+            prop_assert_eq!(keyed_n, want_n, "keyed pairwise counters: {}", ctx);
+            Ok(())
+        }
+
+        #[test]
+        fn clones_with_every_neighbor_match_the_oracles() {
+            for w in &worlds()[..2] {
+                let snap = &w.snapshot;
+                let mut pairs = 0usize;
+                for c in (0..snap.n_carriers()).map(CarrierId::from_index) {
+                    let nc = clone_of(snap, c);
+                    for &n in snap.x2.neighbors(c) {
+                        check(w, &nc, n).unwrap();
+                        pairs += 1;
+                    }
+                }
+                assert_eq!(pairs, snap.x2.n_pairs(), "every directed pair requested");
+            }
+        }
+
+        /// The worlds the proptest draws from, built once. Only that test
+        /// reads them, so the counters it diffs move for its calls alone.
+        fn shared_worlds() -> &'static [World] {
+            static WORLDS: std::sync::OnceLock<Vec<World>> = std::sync::OnceLock::new();
+            WORLDS.get_or_init(worlds)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn hostile_planned_neighborhoods_match_the_oracles(
+                world in 0usize..4,
+                src in 0usize..10_000,
+                planned in collection::vec((0u8..3, 0usize..10_000), 0..12),
+                target in (0u8..3, 0usize..10_000),
+            ) {
+                let w = &shared_worlds()[world];
+                let snap = &w.snapshot;
+                let n = snap.n_carriers();
+                let src = CarrierId::from_index(src % n);
+                let own = snap.x2.neighbors(src);
+                // 0: one of the source's own X2 neighbors (drawn with
+                // repeats, so duplicates are common); 1: any carrier of
+                // the fleet; 2: an id the snapshot has never heard of.
+                let pick = |(kind, x): (u8, usize)| match kind {
+                    0 if !own.is_empty() => own[x % own.len()],
+                    2 => CarrierId::from_index(n + x % 5),
+                    _ => CarrierId::from_index(x % n),
+                };
+                let nc = NewCarrier {
+                    attrs: snap.carrier(src).attrs.clone(),
+                    neighbors: planned.into_iter().map(pick).collect(),
+                };
+                check(w, &nc, pick(target))?;
+            }
+        }
     }
 }

@@ -21,6 +21,7 @@
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::api::Body;
 use crate::probe::ProbeKey;
@@ -44,12 +45,13 @@ struct CacheEntry {
 }
 
 /// Bounded, seeded-eviction response cache. Not thread-safe on its own —
-/// it lives inside the shard's control mutex.
+/// it lives inside the shard's control mutex. Each stored key is one
+/// shared allocation, referenced from both the map and its slot.
 pub struct ResponseCache {
     capacity: usize,
-    entries: HashMap<ProbeKey, CacheEntry>,
+    entries: HashMap<Arc<ProbeKey>, CacheEntry>,
     /// Occupied keys, dense, for uniform eviction draws.
-    slots: Vec<ProbeKey>,
+    slots: Vec<Arc<ProbeKey>>,
     rng: ChaCha8Rng,
 }
 
@@ -86,9 +88,10 @@ impl ResponseCache {
         }
     }
 
-    /// Stores `body` for `key` under `epoch`. Returns `true` when a
-    /// victim was evicted to make room (seeded-uniform over occupied
-    /// slots). A zero-capacity cache stores nothing.
+    /// Stores `body` for `key` under `epoch`; the key moves in, uncopied.
+    /// Returns `true` when a victim was evicted to make room
+    /// (seeded-uniform over occupied slots). A zero-capacity cache stores
+    /// nothing.
     pub fn insert(&mut self, key: ProbeKey, epoch: u64, body: Body) -> bool {
         if self.capacity == 0 {
             return false;
@@ -100,14 +103,15 @@ impl ResponseCache {
         }
         let evicted = if self.slots.len() >= self.capacity {
             let victim = self.rng.random_range(0..self.slots.len());
-            let victim_key = self.slots[victim].clone();
+            let victim_key = Arc::clone(&self.slots[victim]);
             self.remove(&victim_key);
             true
         } else {
             false
         };
         let slot = self.slots.len();
-        self.slots.push(key.clone());
+        let key = Arc::new(key);
+        self.slots.push(Arc::clone(&key));
         self.entries.insert(key, CacheEntry { epoch, slot, body });
         evicted
     }
@@ -128,7 +132,7 @@ impl ResponseCache {
         // The former tail now lives in the vacated slot.
         if let Some(moved) = self.slots.get(e.slot) {
             self.entries
-                .get_mut(&moved.clone())
+                .get_mut(moved)
                 .expect("slot key has an entry")
                 .slot = e.slot;
         }

@@ -9,9 +9,10 @@
 //! Cold-start and pairwise requests resolve to the packed `u128` vote
 //! key of every fitted parameter (one integer per parameter, resolved
 //! **once at admission**) plus the exact planned-neighbor list — the only
-//! other input the local-vote path reads. Singular and KPI requests are
-//! keyed by carrier id: the model answers them from the carrier's fitted
-//! state alone.
+//! other input the local-vote path reads. The recommender votes with
+//! these same keys ([`ProbeKey::packed`]), so a probe is packed once per
+//! request. Singular and KPI requests are keyed by carrier id: the model
+//! answers them from the carrier's fitted state alone.
 //!
 //! Resolution cannot fail: every vote key is a `u128`, and a shard
 //! refuses at the swap any model that does not cover its catalog and
@@ -47,6 +48,19 @@ pub enum ProbeKey {
     Kpi { carrier: CarrierId },
 }
 
+impl ProbeKey {
+    /// The packed vote keys, one per parameter of the request's kind in
+    /// catalog order: what the cold-start recommender votes with. Empty
+    /// for carrier-keyed probes and for a pair-wise probe toward an
+    /// unknown neighbor.
+    pub fn packed(&self) -> &[u128] {
+        match self {
+            ProbeKey::ColdStart { keys, .. } | ProbeKey::Pairwise { keys, .. } => keys,
+            ProbeKey::Singular { .. } | ProbeKey::Kpi { .. } => &[],
+        }
+    }
+}
+
 /// Resolves a request to its probe under `model`, which must cover
 /// `snapshot`'s catalog.
 pub fn resolve(model: &CfModel, snapshot: &NetworkSnapshot, kind: &RequestKind) -> ProbeKey {
@@ -58,21 +72,11 @@ pub fn resolve(model: &CfModel, snapshot: &NetworkSnapshot, kind: &RequestKind) 
         RequestKind::Pairwise {
             new_carrier,
             neighbor,
-        } => {
-            let keys = if neighbor.index() < snapshot.n_carriers() {
-                let dst = &snapshot.carrier(*neighbor).attrs;
-                model.probe_pairwise(snapshot, &new_carrier.attrs, dst)
-            } else {
-                // No relation to configure; the primary body is empty
-                // regardless of the new carrier's attributes.
-                Vec::new()
-            };
-            ProbeKey::Pairwise {
-                keys,
-                neighbor: *neighbor,
-                neighbors: new_carrier.neighbors.clone(),
-            }
-        }
+        } => ProbeKey::Pairwise {
+            keys: model.probe_pairwise(snapshot, &new_carrier.attrs, *neighbor),
+            neighbor: *neighbor,
+            neighbors: new_carrier.neighbors.clone(),
+        },
         RequestKind::Singular { carrier } => ProbeKey::Singular { carrier: *carrier },
         RequestKind::Kpi { carrier } => ProbeKey::Kpi { carrier: *carrier },
     }

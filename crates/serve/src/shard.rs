@@ -33,7 +33,9 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
-use auric_core::recommend::{recommend_pairwise, recommend_singular, ConfigRecommendation};
+use auric_core::recommend::{
+    recommend_pairwise_keyed, recommend_singular, recommend_singular_keyed, ConfigRecommendation,
+};
 use auric_core::{
     CfModel, DeltaApply, DeltaFitReport, Recommendation, Scope, SharedKeyColumns, Side,
 };
@@ -282,28 +284,29 @@ enum Disposition {
     },
 }
 
-/// How an admitted request is answered. Only Ready-state primary service
-/// without an injected or poisoned panic is eligible for the cache and
-/// for coalescing: a drawn panic must really fire (fault parity), and
-/// market-mode answers are degraded state, not lookups.
+/// How an admitted request is answered.
 enum Class {
     /// Served from the response cache: no model lookup at all.
     Hit(Body),
     /// Coalesced onto the lead at `reqs[lead]` (same probe, same batch):
     /// the lead's answer fans out here.
     Member(usize),
-    /// Executes against the model. `key` is `Some` for cacheable
-    /// lookups.
-    Lead {
-        mode: ServeMode,
-        key: Option<ProbeKey>,
-    },
+    /// Executes on the calling thread.
+    Lead(Lead),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ServeMode {
-    /// Full service: primary path, fallback chain on panic.
-    Primary { inject_panic: bool, poisoned: bool },
+/// What a lead executes. Only [`Lead::Primary`] carries a probe, so only
+/// it can reach the primary path, the cache and coalescing: a drawn
+/// panic must really fire (fault parity), and market-mode answers are
+/// degraded state, not lookups.
+enum Lead {
+    /// Full service, fallback chain on panic. The recommender votes with
+    /// the probe's packed keys, and a clean answer is cached under it.
+    Primary(ProbeKey),
+    /// Full service with an injected or poisoned-model panic drawn at
+    /// admission: the panic fires inside the unwind boundary before any
+    /// lookup, then the fallback chain answers.
+    Panic,
     /// Warming/Degraded service: market-mode only, explicit reason.
     MarketMode(DegradeReason),
 }
@@ -464,19 +467,20 @@ impl Shard {
         let (pinned, dispositions) = {
             let mut ctl = self.lock();
             let pinned = Self::pinned(&ctl);
-            let mut seen: HashMap<ProbeKey, usize> = HashMap::new();
+            // Only batch-mates coalesce: a chunk of one keeps no map.
+            let mut seen: Option<HashMap<ProbeKey, usize>> = (reqs.len() > 1).then(HashMap::new);
             let dispositions: Vec<Disposition> = reqs
                 .iter()
                 .enumerate()
-                .map(|(i, req)| self.admit_classify(&mut ctl, req, &pinned, &mut seen, i))
+                .map(|(i, req)| self.admit_classify(&mut ctl, req, &pinned, seen.as_mut(), i))
                 .collect();
             (pinned, dispositions)
         };
         let lead = |i: usize| match &dispositions[i] {
             Disposition::Admitted {
-                class: Class::Lead { mode, key },
+                class: Class::Lead(lead),
                 ..
-            } => Some((*mode, key.as_ref())),
+            } => Some(lead),
             _ => None,
         };
         let n_admitted = dispositions
@@ -494,69 +498,71 @@ impl Shard {
         // the pinned pair, keyed leads first in probe-key order so
         // equal-prefix packed keys are looked up back to back.
         lead_order.sort_by_key(|&i| {
-            let key = lead(i).and_then(|(_, key)| key);
+            let key = match lead(i) {
+                Some(Lead::Primary(key)) => Some(key),
+                _ => None,
+            };
             (key.is_none(), key, i)
         });
         let mut replies: Vec<Option<LeadReply>> = reqs.iter().map(|_| None).collect();
         for i in lead_order {
-            let (mode, _) = lead(i).expect("lead_order holds leads only");
             replies[i] = Some(serve_job(
                 &pinned.snapshot,
                 &pinned.model,
                 self.kpi.as_ref().as_ref(),
                 &reqs[i].kind,
-                mode,
+                lead(i).expect("lead_order holds leads only"),
             ));
         }
 
         // Phase 3 (ctl lock): settle in input order, fan out, cache.
-        // Bodies are shared `Arc`s: fan-out and cache inserts copy none.
+        // Bodies are shared `Arc`s: fan-out and cache inserts copy none,
+        // and each lead's probe moves into the cache.
         let mut ctl = self.lock();
-        for (i, (req, disposition)) in reqs.iter().zip(&dispositions).enumerate() {
+        for (i, (req, disposition)) in reqs.iter().zip(dispositions).enumerate() {
             let (done_us, state, class) = match disposition {
                 Disposition::Reject(r) => {
-                    out.push(Err(*r));
+                    out.push(Err(r));
                     continue;
                 }
                 Disposition::Admitted {
                     done_us,
                     state,
                     class,
-                } => (*done_us, *state, class),
+                } => (done_us, state, class),
             };
             let (degraded, reason, body) = match class {
                 Class::Hit(body) => {
                     // A cache hit is a primary-path success: the cached
                     // body was computed by a successful primary serve of
                     // this same probe under this same epoch.
-                    let (degraded, reason) = degrade_from_body(&req.kind, body);
+                    let (degraded, reason) = degrade_from_body(&req.kind, &body);
                     self.count_answer(&mut ctl, degraded);
                     self.breaker_success(&mut ctl);
-                    (degraded, reason, body.clone())
+                    (degraded, reason, body)
                 }
                 Class::Member(lead) => {
                     // The lead owns the breaker feedback and any
                     // contained-panic accounting; members only share the
                     // answer (degraded status included).
-                    let r = replies[*lead].as_ref().expect("lead executed");
+                    let r = replies[lead].as_ref().expect("lead executed");
                     self.count_answer(&mut ctl, r.degraded);
                     (r.degraded, r.reason, r.body.clone())
                 }
-                Class::Lead { mode, key } => {
+                Class::Lead(lead) => {
                     // Borrowed, not taken: members settle after their
                     // lead (input order) and still need the reply.
                     let r = replies[i].as_ref().expect("lead executed");
                     ctl.dispatched += 1;
-                    self.settle(&mut ctl, req.submitted_us, *mode, r);
+                    self.settle(&mut ctl, req.submitted_us, &lead, r);
                     // Cache only clean primary bodies, and only if the
                     // epoch this batch resolved under is still current —
                     // a refit mid-batch cleared the cache and bumped the
                     // epoch, and a stale insert would just waste a slot
                     // (epoch validation would refuse to serve it).
-                    if let Some(key) = key {
+                    if let Lead::Primary(key) = lead {
                         if !r.panicked && ctl.model_epoch == pinned.epoch {
-                            let evicted =
-                                ctl.cache.insert(key.clone(), pinned.epoch, r.body.clone());
+                            let evicted = ctl.cache.insert(key, pinned.epoch, r.body.clone());
                             self.obs.inc("serve.cache.insert");
                             if evicted {
                                 self.obs.inc("serve.cache.evict");
@@ -589,7 +595,7 @@ impl Shard {
         ctl: &mut ShardCtl,
         req: &Request,
         pinned: &Pinned,
-        seen: &mut HashMap<ProbeKey, usize>,
+        seen: Option<&mut HashMap<ProbeKey, usize>>,
         idx: usize,
     ) -> Disposition {
         let now = req.submitted_us;
@@ -654,14 +660,8 @@ impl Shard {
         let state = ctl.state;
 
         let class = match state {
-            ShardState::Warming => Class::Lead {
-                mode: ServeMode::MarketMode(DegradeReason::Warming),
-                key: None,
-            },
-            ShardState::Degraded => Class::Lead {
-                mode: ServeMode::MarketMode(DegradeReason::ShardDegraded),
-                key: None,
-            },
+            ShardState::Warming => Class::Lead(Lead::MarketMode(DegradeReason::Warming)),
+            ShardState::Degraded => Class::Lead(Lead::MarketMode(DegradeReason::ShardDegraded)),
             ShardState::Ready => {
                 let inject = faults.worker_panic;
                 if inject {
@@ -669,18 +669,8 @@ impl Shard {
                     self.obs.inc("serve.fault.worker_panic");
                 }
                 if inject || ctl.poisoned {
-                    Class::Lead {
-                        mode: ServeMode::Primary {
-                            inject_panic: inject,
-                            poisoned: ctl.poisoned,
-                        },
-                        key: None,
-                    }
+                    Class::Lead(Lead::Panic)
                 } else {
-                    let mode = ServeMode::Primary {
-                        inject_panic: false,
-                        poisoned: false,
-                    };
                     let key = probe::resolve(&pinned.model, &pinned.snapshot, &req.kind);
                     let looked_up = ctl.cache.get(&key, pinned.epoch);
                     if matches!(looked_up, CacheLookup::Stale) {
@@ -694,16 +684,19 @@ impl Shard {
                         }
                         CacheLookup::Miss | CacheLookup::Stale => {
                             self.obs.inc("serve.cache.miss");
-                            if let Some(&lead) = seen.get(&key) {
-                                ctl.coalesced += 1;
-                                self.obs.inc("serve.batch.coalesced");
-                                Class::Member(lead)
-                            } else {
-                                seen.insert(key.clone(), idx);
-                                Class::Lead {
-                                    mode,
-                                    key: Some(key),
-                                }
+                            match seen {
+                                Some(seen) => match seen.get(&key) {
+                                    Some(&lead) => {
+                                        ctl.coalesced += 1;
+                                        self.obs.inc("serve.batch.coalesced");
+                                        Class::Member(lead)
+                                    }
+                                    None => {
+                                        seen.insert(key.clone(), idx);
+                                        Class::Lead(Lead::Primary(key))
+                                    }
+                                },
+                                None => Class::Lead(Lead::Primary(key)),
                             }
                         }
                     }
@@ -716,7 +709,7 @@ impl Shard {
         let base = match &class {
             Class::Hit(_) => self.config.costs.cache_hit_us,
             Class::Member(_) => self.config.costs.coalesced_us,
-            Class::Lead { .. } => self.config.costs.base(&req.kind),
+            Class::Lead(_) => self.config.costs.base(&req.kind),
         };
         let cost = if faults.latency_spike {
             base.saturating_mul(self.config.costs.spike_factor)
@@ -799,7 +792,7 @@ impl Shard {
 
     /// Post-completion accounting for a lead submitted at `now`: panic
     /// containment, breaker feedback, the Degraded trip.
-    fn settle(&self, ctl: &mut ShardCtl, now: u64, mode: ServeMode, r: &LeadReply) {
+    fn settle(&self, ctl: &mut ShardCtl, now: u64, lead: &Lead, r: &LeadReply) {
         self.count_answer(ctl, r.degraded);
         if r.panicked {
             ctl.panics_contained += 1;
@@ -807,7 +800,7 @@ impl Shard {
         }
         // Breaker + degradation feedback applies to full-service
         // requests only; market-mode service has no primary path.
-        if let ServeMode::MarketMode(_) = mode {
+        if let Lead::MarketMode(_) = lead {
             return;
         }
         if !r.panicked {
@@ -1051,37 +1044,29 @@ fn serve_job(
     model: &CfModel,
     kpi: Option<&KpiReport>,
     kind: &RequestKind,
-    mode: ServeMode,
+    lead: &Lead,
 ) -> LeadReply {
-    let (inject, poisoned, market_only_reason) = match mode {
-        ServeMode::Primary {
-            inject_panic,
-            poisoned,
-        } => (inject_panic, poisoned, None),
-        ServeMode::MarketMode(reason) => (false, false, Some(reason)),
-    };
-    if let Some(reason) = market_only_reason {
-        let body = catch_unwind(AssertUnwindSafe(|| {
-            market_mode_body(snapshot, model, kpi, kind)
-        }))
-        .unwrap_or_else(|_| empty_body(kind));
-        return LeadReply {
-            body,
-            degraded: true,
-            reason: Some(reason),
-            panicked: false,
-        };
-    }
-
     // Primary path. Injected panics (one-shot or poisoned-model) fire
     // inside the unwind boundary, exactly where a genuine model panic
     // would.
-    let primary = catch_unwind(AssertUnwindSafe(|| {
-        if inject || poisoned {
-            std::panic::panic_any(InjectedPanic);
+    let primary = match lead {
+        Lead::Primary(key) => catch_unwind(AssertUnwindSafe(|| {
+            primary_body(snapshot, model, kpi, kind, key.packed())
+        })),
+        Lead::Panic => catch_unwind(|| -> Body { std::panic::panic_any(InjectedPanic) }),
+        Lead::MarketMode(reason) => {
+            let body = catch_unwind(AssertUnwindSafe(|| {
+                market_mode_body(snapshot, model, kpi, kind)
+            }))
+            .unwrap_or_else(|_| empty_body(kind));
+            return LeadReply {
+                body,
+                degraded: true,
+                reason: Some(*reason),
+                panicked: false,
+            };
         }
-        primary_body(snapshot, model, kpi, kind)
-    }));
+    };
     if let Ok(body) = primary {
         let kpi_missing = matches!(body, Body::KpiHealth(None));
         return LeadReply {
@@ -1114,22 +1099,25 @@ fn serve_job(
     }
 }
 
-/// Full-service answer for one request kind.
+/// Full-service answer for one request kind. `keys` are the packed vote
+/// keys of the request's probe ([`ProbeKey::packed`]): cold-start and
+/// pair-wise recommendations vote with them instead of packing again.
 fn primary_body(
     snapshot: &NetworkSnapshot,
     model: &CfModel,
     kpi: Option<&KpiReport>,
     kind: &RequestKind,
+    keys: &[u128],
 ) -> Body {
     match kind {
         RequestKind::ColdStart(nc) => {
-            Body::Recommendations(recommend_singular(snapshot, model, nc).into())
+            Body::Recommendations(recommend_singular_keyed(snapshot, model, nc, keys).into())
         }
         RequestKind::Pairwise {
             new_carrier,
             neighbor,
         } => Body::Recommendations(
-            recommend_pairwise(snapshot, model, new_carrier, *neighbor).into(),
+            recommend_pairwise_keyed(snapshot, model, new_carrier, *neighbor, keys).into(),
         ),
         RequestKind::Singular { carrier } => Body::Recommendations(
             snapshot
