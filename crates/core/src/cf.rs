@@ -391,30 +391,6 @@ pub struct ParamCf {
 }
 
 impl ParamCf {
-    /// The unpacked vote key of a carrier (singular parameters). This is
-    /// the interchange form accepted by [`CfModel::recommend_global`];
-    /// internal paths use the packed companions below.
-    pub fn key_for_carrier(&self, attrs: &AttrVec) -> VoteKey {
-        self.dependent
-            .iter()
-            .map(|pa| {
-                debug_assert_eq!(pa.side, Side::Src, "singular key reads only the carrier");
-                attrs.get(pa.attr)
-            })
-            .collect()
-    }
-
-    /// The unpacked vote key of a directed pair (pair-wise parameters).
-    pub fn key_for_pair(&self, src: &AttrVec, dst: &AttrVec) -> VoteKey {
-        self.dependent
-            .iter()
-            .map(|pa| match pa.side {
-                Side::Src => src.get(pa.attr),
-                Side::Dst => dst.get(pa.attr),
-            })
-            .collect()
-    }
-
     /// The key layout of this parameter.
     pub fn codec(&self) -> &PackedKeyCodec {
         &self.codec
@@ -1561,6 +1537,19 @@ mod tests {
     use super::*;
     use auric_netgen::{generate, NetScale, TuningKnobs};
 
+    /// The unpacked vote key of a carrier, read back from its packed form.
+    fn carrier_key(pc: &ParamCf, attrs: &AttrVec) -> VoteKey {
+        pc.codec()
+            .unpack(pc.packed_for_carrier(attrs), pc.dependent.len())
+    }
+
+    /// The unpacked vote key of a directed pair, read back from its packed
+    /// form.
+    fn pair_key(pc: &ParamCf, src: &AttrVec, dst: &AttrVec) -> VoteKey {
+        pc.codec()
+            .unpack(pc.packed_for_pair(src, dst), pc.dependent.len())
+    }
+
     fn fitted() -> (auric_netgen::GeneratedNetwork, CfModel) {
         let net = generate(&NetScale::tiny(), &TuningKnobs::none());
         let scope = Scope::whole(&net.snapshot);
@@ -1589,7 +1578,7 @@ mod tests {
         for p in snap.catalog.singular_ids() {
             let pc = model.param(p);
             for c in &snap.carriers {
-                let key = pc.key_for_carrier(&c.attrs);
+                let key = carrier_key(pc, &c.attrs);
                 let current = snap.config.value(p, c.id);
                 let rec = model.recommend_global(p, &key, Some(current));
                 total += 1;
@@ -1612,7 +1601,7 @@ mod tests {
         for p in snap.catalog.singular_ids() {
             let pc = model.param(p);
             for c in snap.carriers.iter().step_by(7) {
-                let key = pc.key_for_carrier(&c.attrs);
+                let key = carrier_key(pc, &c.attrs);
                 let current = snap.config.value(p, c.id);
                 let via_key = model.recommend_global(p, &key, Some(current));
                 assert_eq!(
@@ -1629,7 +1618,7 @@ mod tests {
             let pc = model.param(p);
             for q in (0..snap.x2.n_pairs() as u32).step_by(13) {
                 let (j, k) = snap.x2.pair(q);
-                let key = pc.key_for_pair(&snap.carrier(j).attrs, &snap.carrier(k).attrs);
+                let key = pair_key(pc, &snap.carrier(j).attrs, &snap.carrier(k).attrs);
                 let current = snap.config.pair_value(p, q);
                 let via_key = model.recommend_global(p, &key, Some(current));
                 assert_eq!(
@@ -1682,8 +1671,7 @@ mod tests {
                 pocket_slots += 1;
                 let current = snap.config.value(p, c.id);
                 let local = model.recommend_local_singular(snap, p, c.id, true);
-                let global =
-                    model.recommend_global(p, &pc.key_for_carrier(&c.attrs), Some(current));
+                let global = model.recommend_global(p, &carrier_key(pc, &c.attrs), Some(current));
                 local_hit += usize::from(local.value == current);
                 global_hit += usize::from(global.value == current);
             }
@@ -1756,7 +1744,7 @@ mod tests {
             // unseen level.
             let some_key = match snap.catalog.def(pc.param).kind {
                 auric_model::ParamKind::Singular => {
-                    pc.key_for_carrier(&snap.carrier(CarrierId(0)).attrs)
+                    carrier_key(pc, &snap.carrier(CarrierId(0)).attrs)
                 }
                 _ => continue,
             };

@@ -387,7 +387,7 @@ impl VoteTables {
     /// Rebuilds a table set from `(unpacked key, table)` pairs under the
     /// given layout — the inverse of [`VoteTables::unpacked_groups`].
     ///
-    /// Every key must have exactly `codec.n_positions()` levels, each in
+    /// Every key must have exactly `codec.cards().len()` levels, each in
     /// the recorded range `0..cards[i]`, and keys must be unique. These
     /// hold for anything `unpacked_groups` emitted; violating pairs can
     /// only come from a corrupted serialized model, and are rejected with

@@ -34,8 +34,10 @@ fn assert_equivalent(
             ParamKind::Singular => {
                 for c in snap.carriers.iter().step_by(carrier_stride) {
                     let key = legacy.param(p).key_for_carrier(&c.attrs);
+                    let pc = packed.param(p);
                     assert_eq!(
-                        packed.param(p).key_for_carrier(&c.attrs),
+                        pc.codec()
+                            .unpack(pc.packed_for_carrier(&c.attrs), pc.dependent.len()),
                         key,
                         "{}: carrier {} key diverges",
                         def.name,
@@ -68,10 +70,11 @@ fn assert_equivalent(
                     let key = legacy
                         .param(p)
                         .key_for_pair(&snap.carrier(j).attrs, &snap.carrier(k).attrs);
+                    let pc = packed.param(p);
+                    let packed_key =
+                        pc.packed_for_pair(&snap.carrier(j).attrs, &snap.carrier(k).attrs);
                     assert_eq!(
-                        packed
-                            .param(p)
-                            .key_for_pair(&snap.carrier(j).attrs, &snap.carrier(k).attrs),
+                        pc.codec().unpack(packed_key, pc.dependent.len()),
                         key,
                         "{}: pair {q} key diverges",
                         def.name

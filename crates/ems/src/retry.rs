@@ -67,11 +67,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Whether any retry can ever happen under this policy.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
     /// The simulated wait before retry number `attempt` (1-based):
     /// exponential in the attempt, capped, plus deterministic jitter of
     /// up to a quarter of the capped wait drawn from `rng`.
@@ -194,7 +189,6 @@ mod tests {
     fn none_policy_is_single_attempt() {
         let p = RetryPolicy::none();
         assert_eq!(p.max_attempts, 1);
-        assert!(!p.retries_enabled());
         assert!(!p.split_batches);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(p.backoff_ms(1, &mut rng), 0);

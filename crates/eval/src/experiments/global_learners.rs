@@ -56,13 +56,7 @@ impl<C: Classifier> Classifier for Capped<C> {
 /// scikit-learn over 4.5M values on carrier-grade hardware; this harness
 /// runs on whatever `cargo` runs on, so each (parameter, market) dataset
 /// is deterministically subsampled to this many rows before CV.
-/// Overridable via `AURIC_EVAL_MAX_ROWS`.
-fn classic_row_budget() -> usize {
-    std::env::var("AURIC_EVAL_MAX_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1200)
-}
+const CLASSIC_ROW_BUDGET: usize = 1200;
 
 /// Deterministic stride subsample of a dataset to at most `max` rows.
 fn subsample(data: Dataset, max: usize) -> Dataset {
@@ -170,11 +164,10 @@ pub fn run_global_learners_filtered(
                 Some(ps) => ps.to_vec(),
                 None => snap.catalog.param_ids().collect(),
             };
-            let budget = classic_row_budget();
             let rows = parallel_map(param_ids.len(), |i| {
                 let param = param_ids[i];
                 let pi = param.index();
-                let data = subsample(dataset_for_param(snap, &scope, param), budget);
+                let data = subsample(dataset_for_param(snap, &scope, param), CLASSIC_ROW_BUDGET);
                 let learners = classic_learners();
                 let mut accuracy = [0.0; 5];
                 for (li, learner) in learners.iter().enumerate() {

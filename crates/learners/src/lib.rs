@@ -11,9 +11,7 @@
 //!   over one-hot attributes (ranked via the exactly-equivalent Hamming
 //!   distance on the categorical rows);
 //! - [`mlp::MlpClassifier`] — 7 hidden layers (100,100,100,50,50,50,10),
-//!   ReLU, Adam, L2 = 1e-5;
-//! - [`lasso::Lasso`] — the §3.2 Eq. 1 sparse linear alternative, via
-//!   coordinate descent.
+//!   ReLU, Adam, L2 = 1e-5.
 //!
 //! All classifiers implement the [`Classifier`] / [`Model`] pair over a
 //! categorical [`dataset::Dataset`]; [`cv::cross_val_accuracy`] provides
@@ -23,7 +21,6 @@ pub mod cv;
 pub mod dataset;
 pub mod forest;
 pub mod knn;
-pub mod lasso;
 pub mod mlp;
 pub mod tree;
 
@@ -50,34 +47,4 @@ pub trait Classifier: Send + Sync {
 pub trait Model: Send + Sync {
     /// Predicts the raw value for `row`.
     fn predict(&self, row: &[u16]) -> u16;
-}
-
-/// The four classic global learners with the paper's §4.2 hyperparameters,
-/// in the order Table 4 lists them.
-pub fn paper_baselines() -> Vec<Box<dyn Classifier>> {
-    vec![
-        Box::new(RandomForest::paper()),
-        Box::new(KnnClassifier::paper()),
-        Box::new(DecisionTree::paper()),
-        Box::new(MlpClassifier::paper()),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_baselines_are_the_four_classics() {
-        let names: Vec<&str> = paper_baselines().iter().map(|c| c.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "random-forest",
-                "k-nearest-neighbors",
-                "decision-tree",
-                "deep-neural-network"
-            ]
-        );
-    }
 }

@@ -50,19 +50,6 @@ impl MlpClassifier {
             seed: 1,
         }
     }
-
-    /// A smaller, faster variant for unit tests.
-    pub fn small_for_tests() -> Self {
-        Self {
-            hidden: vec![16, 8],
-            alpha: 1e-5,
-            learning_rate: 5e-3,
-            max_iter: 300,
-            tol: 1e-5,
-            patience: 20,
-            seed: 1,
-        }
-    }
 }
 
 impl Classifier for MlpClassifier {
@@ -395,6 +382,19 @@ fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
 mod tests {
     use super::*;
 
+    /// A smaller, faster variant of [`MlpClassifier::paper`].
+    fn small() -> MlpClassifier {
+        MlpClassifier {
+            hidden: vec![16, 8],
+            alpha: 1e-5,
+            learning_rate: 5e-3,
+            max_iter: 300,
+            tol: 1e-5,
+            patience: 20,
+            seed: 1,
+        }
+    }
+
     #[test]
     fn learns_a_linear_rule() {
         // Label = column 0's level.
@@ -405,7 +405,7 @@ mod tests {
             values.push(100 + (i % 3) * 10);
         }
         let data = Dataset::new(rows, values, None);
-        let model = MlpClassifier::small_for_tests().fit(&data);
+        let model = small().fit(&data);
         let mut correct = 0;
         for i in 0..data.n_rows() {
             if model.predict(&data.row_vec(i)) == data.raw_label(i) {
@@ -429,7 +429,7 @@ mod tests {
             values.push(if a == b { 1 } else { 2 });
         }
         let data = Dataset::new(rows, values, None);
-        let model = MlpClassifier::small_for_tests().fit(&data);
+        let model = small().fit(&data);
         assert_eq!(model.predict(&[0, 0]), 1);
         assert_eq!(model.predict(&[1, 1]), 1);
         assert_eq!(model.predict(&[0, 1]), 2);
@@ -451,7 +451,7 @@ mod tests {
             vec![1, 2, 1, 2],
             None,
         );
-        let cfg = MlpClassifier::small_for_tests();
+        let cfg = small();
         let a = cfg.fit(&data);
         let b = cfg.fit(&data);
         for row in [[0u16, 0], [0, 1], [1, 0], [1, 1]] {

@@ -134,12 +134,6 @@ impl AttributeSchema {
         &self.defs[a.index()].levels[v as usize]
     }
 
-    /// Total width of a one-hot encoding of the whole schema (the sum of
-    /// all cardinalities). This is the input dimension of the MLP learner.
-    pub fn one_hot_width(&self) -> usize {
-        self.defs.iter().map(AttrDef::cardinality).sum()
-    }
-
     /// Checks that `vec` has one in-range level per attribute.
     pub fn validate(&self, vec: &AttrVec) -> Result<(), String> {
         if vec.len() != self.n_attrs() {
@@ -201,21 +195,6 @@ impl AttrVec {
     /// Raw slice of level indices in schema column order.
     pub fn as_slice(&self) -> &[AttrValue] {
         &self.0
-    }
-
-    /// Projects this vector onto a subset of attributes, producing the
-    /// exact-match key used by the collaborative-filtering voter.
-    pub fn project(&self, attrs: &[AttrId]) -> Vec<AttrValue> {
-        attrs.iter().map(|&a| self.get(a)).collect()
-    }
-
-    /// Allocation-reusing companion to [`AttrVec::project`]: writes the
-    /// projection into `out` (cleared first). Hot loops that compare many
-    /// projected keys can keep one scratch buffer alive instead of
-    /// allocating per carrier.
-    pub fn project_into(&self, attrs: &[AttrId], out: &mut Vec<AttrValue>) {
-        out.clear();
-        out.extend(attrs.iter().map(|&a| self.get(a)));
     }
 }
 
@@ -347,7 +326,6 @@ mod tests {
         assert_eq!(s.by_name("band"), Some(AttrId(1)));
         assert_eq!(s.by_name("nope"), None);
         assert_eq!(s.level_name(AttrId(0), 2), "rural");
-        assert_eq!(s.one_hot_width(), 6);
     }
 
     #[test]
@@ -356,24 +334,6 @@ mod tests {
         assert!(s.validate(&AttrVec::new(vec![0, 2])).is_ok());
         assert!(s.validate(&AttrVec::new(vec![3, 0])).is_err());
         assert!(s.validate(&AttrVec::new(vec![0])).is_err());
-    }
-
-    #[test]
-    fn project_builds_match_key() {
-        let v = AttrVec::new(vec![2, 1]);
-        assert_eq!(v.project(&[AttrId(1)]), vec![1]);
-        assert_eq!(v.project(&[AttrId(1), AttrId(0)]), vec![1, 2]);
-        assert_eq!(v.project(&[]), Vec::<AttrValue>::new());
-    }
-
-    #[test]
-    fn project_into_reuses_the_buffer() {
-        let v = AttrVec::new(vec![2, 1]);
-        let mut buf = Vec::with_capacity(2);
-        v.project_into(&[AttrId(1), AttrId(0)], &mut buf);
-        assert_eq!(buf, vec![1, 2]);
-        v.project_into(&[AttrId(0)], &mut buf);
-        assert_eq!(buf, vec![2], "buffer is cleared between projections");
     }
 
     #[test]

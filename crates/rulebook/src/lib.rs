@@ -1,25 +1,17 @@
-//! The operational-practice baseline (§2.4): rule-books and SON compliance.
+//! The operational-practice baseline (§2.4): rule-books.
 //!
 //! Before Auric, carrier configuration came from *rule-books* — tables,
 //! maintained by domain experts, mapping carrier-attribute conditions to
 //! default parameter values — enforced by SON automation that can verify
 //! range compliance but "cannot automatically discover what the optimized
-//! values are". This crate models that world:
+//! values are". This crate models the rule-books:
 //!
 //! - [`Rule`] / [`Rulebook`] — ordered first-match-wins rules per
 //!   parameter, falling back to the catalog default;
 //! - [`mine_rulebook`] — the closest a rule-book can get to the data:
 //!   per parameter, the majority value for each combination of a fixed,
 //!   hand-picked attribute set (what a diligent engineering team would
-//!   tabulate);
-//! - [`son`] — SON-style compliance checking: every configured value must
-//!   lie on its parameter's grid and (when a rule matches) agree with the
-//!   rule-book.
-//!
-//! The evaluation uses the mined rule-book as the "status quo" baseline
-//! that Auric's learners are compared against.
-
-pub mod son;
+//!   tabulate).
 
 use auric_model::{AttrId, AttrValue, AttrVec, NetworkSnapshot, ParamId, ParamKind, ValueIdx};
 use serde::{Deserialize, Serialize};

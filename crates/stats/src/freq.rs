@@ -192,13 +192,6 @@ impl FreqTable {
         self.iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 
-    /// The majority value if its support ratio is at least `threshold`
-    /// (e.g. the paper's 0.75). `None` when empty or below threshold.
-    pub fn majority_with_support(&self, threshold: f64) -> Option<(u16, usize)> {
-        let (v, c) = self.majority()?;
-        (c as f64 >= threshold * self.total as f64).then_some((v, c))
-    }
-
     /// Iterates `(value, count)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u16, usize)> + '_ {
         let (small, large) = match &self.counts {
@@ -546,12 +539,21 @@ mod tests {
     fn support_threshold_semantics() {
         let t = FreqTable::from_values([7, 7, 7, 1]);
         // 7 has 3/4 = exactly 75% support: threshold is inclusive.
-        assert_eq!(t.majority_with_support(0.75), Some((7, 3)));
-        assert_eq!(t.majority_with_support(0.76), None);
-        assert_eq!(t.majority_with_support(0.5), Some((7, 3)));
+        assert_eq!(
+            t.majority_with_support_excluding(None, 0.75),
+            Some((7, 3, 4))
+        );
+        assert_eq!(t.majority_with_support_excluding(None, 0.76), None);
+        assert_eq!(
+            t.majority_with_support_excluding(None, 0.5),
+            Some((7, 3, 4))
+        );
         // Single value trivially has 100% support.
         let one = FreqTable::from_values([4]);
-        assert_eq!(one.majority_with_support(1.0), Some((4, 1)));
+        assert_eq!(
+            one.majority_with_support_excluding(None, 1.0),
+            Some((4, 1, 1))
+        );
     }
 
     #[test]
@@ -559,11 +561,14 @@ mod tests {
         // The voter's usage pattern: remove own value, query, re-add.
         let mut t = FreqTable::from_values([5, 5, 5, 9]);
         t.remove(9);
-        assert_eq!(t.majority_with_support(0.75), Some((5, 3)));
+        assert_eq!(
+            t.majority_with_support_excluding(None, 0.75),
+            Some((5, 3, 3))
+        );
         t.add(9);
         t.remove(5);
         // Remaining 5,5,9 → 2/3 support < 75%.
-        assert_eq!(t.majority_with_support(0.75), None);
+        assert_eq!(t.majority_with_support_excluding(None, 0.75), None);
         t.add(5);
         assert_eq!(t.total(), 4);
     }
@@ -578,7 +583,7 @@ mod tests {
         );
         // Excluding a 5: remaining 5,5,9 → 2/3 < 75%.
         assert_eq!(t.majority_with_support_excluding(Some(5), 0.75), None);
-        // No exclusion behaves like majority_with_support.
+        // No exclusion queries the whole table.
         assert_eq!(
             t.majority_with_support_excluding(None, 0.75),
             Some((5, 3, 4))

@@ -19,39 +19,6 @@ pub fn gini(counts: &[usize]) -> f64 {
         .sum::<f64>()
 }
 
-/// Shannon entropy (bits) of a label distribution given raw class counts.
-pub fn entropy(counts: &[usize]) -> f64 {
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let t = total as f64;
-    -counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / t;
-            p * p.log2()
-        })
-        .sum::<f64>()
-}
-
-/// Weighted impurity of a binary split: `(n_l·i_l + n_r·i_r) / n`.
-/// The tree learner minimizes this over candidate splits.
-pub fn weighted_split_impurity(
-    left: &[usize],
-    right: &[usize],
-    measure: fn(&[usize]) -> f64,
-) -> f64 {
-    let nl: usize = left.iter().sum();
-    let nr: usize = right.iter().sum();
-    let n = nl + nr;
-    if n == 0 {
-        return 0.0;
-    }
-    (nl as f64 * measure(left) + nr as f64 * measure(right)) / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,18 +26,15 @@ mod tests {
     #[test]
     fn pure_node_is_zero() {
         assert_eq!(gini(&[10, 0, 0]), 0.0);
-        assert_eq!(entropy(&[0, 7]), 0.0);
         assert_eq!(gini(&[]), 0.0);
     }
 
     #[test]
     fn uniform_node_is_maximal() {
-        // Two balanced classes: gini 0.5, entropy 1 bit.
+        // Two balanced classes: gini 0.5.
         assert!((gini(&[5, 5]) - 0.5).abs() < 1e-12);
-        assert!((entropy(&[5, 5]) - 1.0).abs() < 1e-12);
-        // Four balanced classes: gini 0.75, entropy 2 bits.
+        // Four balanced classes: gini 0.75.
         assert!((gini(&[2, 2, 2, 2]) - 0.75).abs() < 1e-12);
-        assert!((entropy(&[2, 2, 2, 2]) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -78,26 +42,5 @@ mod tests {
         let nearly_pure = gini(&[9, 1]);
         let mixed = gini(&[6, 4]);
         assert!(nearly_pure < mixed);
-        assert!(entropy(&[9, 1]) < entropy(&[6, 4]));
-    }
-
-    #[test]
-    fn weighted_split_prefers_separating_split() {
-        // Parent: [5 of A, 5 of B]. A perfect split has impurity 0.
-        let perfect = weighted_split_impurity(&[5, 0], &[0, 5], gini);
-        assert_eq!(perfect, 0.0);
-        // A useless split keeps parent impurity.
-        let useless = weighted_split_impurity(&[3, 3], &[2, 2], gini);
-        assert!((useless - 0.5).abs() < 1e-12);
-        assert!(perfect < useless);
-    }
-
-    #[test]
-    fn weighted_split_weighs_by_size() {
-        // Left branch of 9 pure, right branch of 1 pure → 0 either way,
-        // but left [8,1] vs right [1,0]: impurity dominated by big branch.
-        let v = weighted_split_impurity(&[8, 1], &[1, 0], gini);
-        let expect = 9.0 / 10.0 * gini(&[8, 1]);
-        assert!((v - expect).abs() < 1e-12);
     }
 }

@@ -9,15 +9,15 @@
 //!   §3.2 test of independence uses `p = 0.01`);
 //! - [`contingency`] — contingency tables between an attribute and a
 //!   parameter (Fig. 9) and the chi-square statistic over them (Eq. 3/4);
-//! - [`moments`] — mean/variance/skewness; skewness uses exactly the §2.6
+//! - [`moments`] — mean and skewness; skewness uses exactly the §2.6
 //!   formula and the paper's symmetric/moderate/high classification;
-//! - [`matrix`] — a small dense row-major matrix for the MLP and Lasso;
+//! - [`matrix`] — a small dense row-major matrix for the MLP;
 //! - [`onehot`] — one-hot encoding of categorical rows (§3.1);
-//! - [`impurity`] — Gini impurity and entropy for the tree learners;
+//! - [`impurity`] — Gini impurity for the tree learners;
 //! - [`distance`] — the distance metrics of the k-NN learner;
 //! - [`freq`] — frequency counting and majority/mode helpers used by the
 //!   voting recommender;
-//! - [`packed`] — mixed-radix packing of categorical keys into a `u64`
+//! - [`packed`] — mixed-radix packing of categorical keys into a `u128`
 //!   and the multiply-shift hasher the vote tables index with.
 
 pub mod chi2;

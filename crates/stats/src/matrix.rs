@@ -1,13 +1,11 @@
 //! A small dense row-major `f64` matrix.
 //!
 //! This is all the linear algebra the workspace needs: the MLP learner's
-//! weight matrices and the Lasso's design matrix. Deliberately minimal —
+//! weight matrices. Deliberately minimal —
 //! see DESIGN.md for why no external numerics crate is pulled in.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -24,31 +22,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from row-major data.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length does not match shape");
-        Self { rows, cols, data }
-    }
-
-    /// Builds a matrix from equal-length rows.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -59,20 +32,6 @@ impl Matrix {
         self.cols
     }
 
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
-    }
-
-    /// Element mutator.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -81,11 +40,6 @@ impl Matrix {
     /// Mutable row `r`.
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Column `c`, copied out.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
     /// Raw data in row-major order.
@@ -136,29 +90,6 @@ impl Matrix {
         out
     }
 
-    /// `self · other` (matrix product).
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(r);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
     /// Adds `scale * other` element-wise in place (the optimizer update).
     ///
     /// # Panics
@@ -173,75 +104,45 @@ impl Matrix {
             *a += scale * b;
         }
     }
-
-    /// Frobenius norm squared (used for the L2 penalty).
-    pub fn frob_sq(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn filled(rows: usize, cols: usize, data: &[f64]) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        m.as_mut_slice().copy_from_slice(data);
+        m
+    }
+
     #[test]
     fn construction_and_access() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut m = filled(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!((m.rows(), m.cols()), (2, 3));
-        assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
+        m.row_mut(1)[2] = 9.0;
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 9.0]);
     }
 
     #[test]
     fn matvec_and_transpose_matvec() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]);
+        let m = filled(2, 3, &[1.0, 0.0, 2.0, -1.0, 3.0, 1.0]);
         assert_eq!(m.matvec(&[1.0, 2.0, 3.0]), vec![7.0, 8.0]);
         assert_eq!(m.t_matvec(&[1.0, 1.0]), vec![0.0, 3.0, 3.0]);
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[2.0, 1.0, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let mut i = Matrix::zeros(3, 3);
-        for k in 0..3 {
-            i.set(k, k, 1.0);
-        }
-        let a = Matrix::from_vec(3, 3, (1..=9).map(f64::from).collect());
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
     fn axpy_accumulates() {
-        let mut a = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
-        let g = Matrix::from_vec(1, 3, vec![2.0, 0.0, -2.0]);
+        let mut a = filled(1, 3, &[1.0, 1.0, 1.0]);
+        let g = filled(1, 3, &[2.0, 0.0, -2.0]);
         a.axpy(-0.5, &g);
         assert_eq!(a.as_slice(), &[0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
-        assert_eq!(m.frob_sq(), 25.0);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn matvec_checks_shape() {
         Matrix::zeros(2, 3).matvec(&[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn from_rows_rejects_ragged() {
-        Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
     }
 }

@@ -1,4 +1,4 @@
-//! Moments of a sample: mean, variance, and the paper's skewness measure.
+//! Moments of a sample: mean and the paper's skewness measure.
 //!
 //! §2.6 computes, for each configuration parameter, the population
 //! skewness of its value distribution
@@ -19,13 +19,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
         return None;
     }
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
-}
-
-/// Population variance (divides by `n`). Returns `None` for an empty
-/// sample.
-pub fn population_variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
 /// Population skewness `g1` per the §2.6 formula. Returns `None` when the
@@ -81,13 +74,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_samples() {
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-        assert_eq!(population_variance(&[1.0, 1.0, 1.0]), Some(0.0));
-        // Var of {1..5} (population) = 2.
-        let xs: Vec<f64> = (1..=5).map(|i| i as f64).collect();
-        assert!((population_variance(&xs).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

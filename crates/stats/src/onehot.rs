@@ -60,11 +60,6 @@ impl OneHotEncoder {
         self.width
     }
 
-    /// Number of input columns.
-    pub fn n_columns(&self) -> usize {
-        self.cards.len()
-    }
-
     /// Cardinality of input column `i`.
     pub fn cardinality(&self, i: usize) -> usize {
         self.cards[i]

@@ -103,11 +103,6 @@ impl PackedKeyCodec {
         })
     }
 
-    /// Number of key positions.
-    pub fn n_positions(&self) -> usize {
-        self.cards.len()
-    }
-
     /// Per-position cardinalities (the layout's defining input).
     pub fn cards(&self) -> &[u16] {
         &self.cards
@@ -124,7 +119,7 @@ impl PackedKeyCodec {
         }
     }
 
-    /// Packs the first `vals.len()` positions (`vals.len() <= n_positions`).
+    /// Packs the first `vals.len()` positions (`vals.len() <= cards().len()`).
     ///
     /// # Panics
     /// Debug-panics if `vals` is longer than the layout.
