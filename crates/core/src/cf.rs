@@ -8,9 +8,11 @@
 //! parameter owns a mixed-radix layout over its dependent attributes, and
 //! every group lookup, prefix backoff, and neighborhood scan works on
 //! plain integers. Fitting also materializes a **key column** — the packed
-//! key of every snapshot carrier (or directed pair) — so local voting is a
-//! linear scan of integer compares with zero allocation, and leave-one-out
-//! sweeps reuse the column instead of re-projecting attributes per probe.
+//! key of every carrier (or directed pair) in the fitting scope's index
+//! window — so local voting is a linear scan of integer compares with zero
+//! allocation, and leave-one-out sweeps reuse the column instead of
+//! re-projecting attributes per probe. Targets outside the window are
+//! packed from the snapshot on demand ([`ParamCf::carrier_key`]).
 //! The packed key is the only representation: the Table-1 schema's widest
 //! layout needs 120 bits even at the largest market count it supports, and
 //! the codec refuses anything over 128. `legacy.rs` keeps the original
@@ -28,6 +30,7 @@ use auric_stats::freq::FreqTable;
 use auric_stats::packed::PackedKeyCodec;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -80,12 +83,12 @@ pub struct FitOptions {
     /// (see [`fit_worker_threads`]).
     pub threads: Option<usize>,
     /// A key-column cache shared across fits of the **same snapshot**.
-    /// Key columns span the whole snapshot regardless of the fitting
-    /// scope, so per-market fits (the paper's methodology) that select
-    /// the same ordered dependent set for a parameter rebuild
-    /// byte-identical fleet-sized columns — unless they share a cache.
-    /// `None` gives each fit a private cache (sharing only within the
-    /// fit, which Table-1 layouts rarely allow).
+    /// A key column covers its scope's index window, so fits over the
+    /// same scope (hot refits of one market) that select the same ordered
+    /// dependent set for a parameter share one column through it; fits
+    /// of different markets never do. `None` gives each fit a private
+    /// cache (sharing only within the fit, which Table-1 layouts rarely
+    /// allow).
     pub key_cache: Option<SharedKeyColumns>,
 }
 
@@ -113,9 +116,10 @@ pub struct DeltaApply<'a> {
     /// What the batch did, in incremental-fit vocabulary.
     pub batch: &'a AppliedBatch,
     /// Key-column cache shared across models applying the **same** batch
-    /// to the same post-batch snapshot (per-market shard models): spliced
-    /// fleet-wide columns are built once and shared. `None` uses a
-    /// private cache.
+    /// to the same post-batch snapshot (per-market shard models): a
+    /// rebuilt column is shared by every parameter with the same kind,
+    /// dependent set and window — in practice, parameters of one market.
+    /// `None` uses a private cache.
     pub key_cache: Option<SharedKeyColumns>,
 }
 
@@ -130,7 +134,7 @@ pub struct DeltaFitReport {
     pub params_rebuilt: usize,
     /// Parameters the batch provably did not touch (no in-scope adds,
     /// removes, or retunes): tables untouched, key column refreshed only
-    /// if the fleet changed shape.
+    /// if the batch changed the targets in its window.
     pub params_untouched: usize,
     /// In-scope observations added to patched tables (per parameter).
     pub obs_added: u64,
@@ -196,50 +200,78 @@ pub struct Recommendation {
     pub voters: usize,
 }
 
-/// Packed keys of every snapshot target, built during fit so the local
-/// learner and the LoO sweeps never re-project attributes. Not serialized
-/// — a deserialized model recomputes keys on the fly (still allocation
-/// free on the packed path).
+/// Packed keys of the targets in the fitting scope's **index window**
+/// (`first..last + 1` of [`Scope::carriers`] for singular parameters, of
+/// [`Scope::pairs`] for pair-wise ones), built during fit so the local
+/// learner and the LoO sweeps never re-project attributes. A per-market
+/// model keeps only its market's window; [`Scope::whole`] keeps the
+/// fleet. Targets outside the window (an out-of-market neighbor, a
+/// carrier newer than the fit) are packed from the snapshot instead —
+/// see [`ParamCf::carrier_key`]. Not serialized — a deserialized model
+/// packs every key on the fly (still allocation free).
 ///
 /// Columns are `Arc` slices handed out by the fit's [`KeyColumnCache`]:
 /// parameters whose dependency selection landed on the same attribute set
-/// share one physical column instead of each retaining a fleet-sized
-/// private copy.
+/// over the same window share one physical column.
 #[derive(Debug, Clone)]
 enum KeyColumn {
     /// No column: a freshly deserialized model.
     None,
-    /// `col[c.index()]` = packed key of carrier `c` (singular parameters).
-    Carrier(Arc<[u128]>),
-    /// `col[q as usize]` = packed key of directed pair `q` (pair-wise).
-    Pair(Arc<[u128]>),
+    /// Packed keys of the carriers in a window (singular parameters).
+    Carrier(WindowColumn),
+    /// Packed keys of the directed pairs in a window (pair-wise).
+    Pair(WindowColumn),
+}
+
+/// `col[t - base]` = packed key of target `t`, for `t` in
+/// `base..base + col.len()`.
+#[derive(Debug, Clone)]
+struct WindowColumn {
+    base: usize,
+    col: Arc<[u128]>,
+}
+
+impl WindowColumn {
+    fn window(&self) -> Range<usize> {
+        self.base..self.base + self.col.len()
+    }
+
+    /// The key of target `t`, when `t` is inside the window. A `t` below
+    /// the base wraps past every column length, so one bounds check
+    /// covers both ends.
+    #[inline]
+    fn get(&self, t: usize) -> Option<u128> {
+        self.col.get(t.wrapping_sub(self.base)).copied()
+    }
 }
 
 impl KeyColumn {
-    fn carriers(&self) -> Option<&[u128]> {
+    fn carriers(&self) -> Option<&WindowColumn> {
         match self {
-            KeyColumn::Carrier(col) => Some(col),
+            KeyColumn::Carrier(w) => Some(w),
             _ => None,
         }
     }
 
-    fn pairs(&self) -> Option<&[u128]> {
+    fn pairs(&self) -> Option<&WindowColumn> {
         match self {
-            KeyColumn::Pair(col) => Some(col),
+            KeyColumn::Pair(w) => Some(w),
             _ => None,
         }
     }
 }
 
 /// Fit-time dedup of packed key columns. Two parameters of the same kind
-/// whose dependency selection produced the same ordered dependent set have
-/// byte-identical key columns (the codec is a function of the dependent
-/// attrs' cardinalities), so the column is built once and shared by `Arc`.
+/// whose dependency selection produced the same ordered dependent set over
+/// the same index window have byte-identical key columns (the codec is a
+/// function of the dependent attrs' cardinalities), so the column is built
+/// once and shared by `Arc`.
 ///
 /// Each entry holds a [`OnceLock`]: whichever worker arrives first builds
 /// the column, everyone else blocks on (or finds) the finished cell — so
-/// exactly one build happens per unique `(kind, dependent)` regardless of
-/// the parallel schedule, and the built/shared tallies are deterministic.
+/// exactly one build happens per unique `(kind, dependent, window)`
+/// regardless of the parallel schedule, and the built/shared tallies are
+/// deterministic.
 struct KeyColumnCache {
     entries: Mutex<HashMap<ColumnLayout, ColumnCell>>,
     built: AtomicU64,
@@ -255,9 +287,10 @@ struct KeyColumnCache {
 
 /// A [`KeyColumnCache`] handle that outlives one fit, for sharing packed
 /// key columns across **fits of the same snapshot** (per-market models,
-/// hot refits). Cheap to clone; thread-safe. Passing a cache that saw a
-/// different snapshot panics at fit time rather than aliasing wrong
-/// columns.
+/// hot refits). Columns are keyed by their index window too, so sharing
+/// happens between fits over the same scope, never across markets. Cheap
+/// to clone; thread-safe. Passing a cache that saw a different snapshot
+/// panics at fit time rather than aliasing wrong columns.
 #[derive(Clone, Default)]
 pub struct SharedKeyColumns(Arc<KeyColumnCache>);
 
@@ -267,7 +300,8 @@ impl SharedKeyColumns {
         Self::default()
     }
 
-    /// Distinct `(kind, ordered dependent set)` columns physically built.
+    /// Distinct `(kind, ordered dependent set, window)` columns physically
+    /// built.
     pub fn built(&self) -> u64 {
         self.0.built.load(Ordering::Relaxed)
     }
@@ -293,9 +327,9 @@ impl std::fmt::Debug for SharedKeyColumns {
     }
 }
 
-/// The cache key: a key column is fully determined by the parameter kind
-/// and the ordered dependent attribute set.
-type ColumnLayout = (ParamKind, Vec<PredictorAttr>);
+/// The cache key: a key column is fully determined by the parameter kind,
+/// the ordered dependent attribute set, and the index window it covers.
+type ColumnLayout = (ParamKind, Vec<PredictorAttr>, Range<usize>);
 
 /// One cache entry: a build-once cell holding the shared column.
 type ColumnCell = Arc<OnceLock<Arc<[u128]>>>;
@@ -333,8 +367,10 @@ impl KeyColumnCache {
         &self,
         kind: ParamKind,
         dependent: &[PredictorAttr],
+        window: Range<usize>,
         build: impl FnOnce() -> Vec<u128>,
-    ) -> Arc<[u128]> {
+    ) -> WindowColumn {
+        let base = window.start;
         let cell = {
             // A worker that panicked mid-fit (injected faults, a poisoned
             // serving model) poisons this mutex, but the map it guards is
@@ -344,7 +380,7 @@ impl KeyColumnCache {
             // must keep working instead of panicking forever.
             let mut map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(
-                map.entry((kind, dependent.to_vec()))
+                map.entry((kind, dependent.to_vec(), window))
                     .or_insert_with(|| Arc::new(OnceLock::new())),
             )
         };
@@ -362,7 +398,7 @@ impl KeyColumnCache {
         } else {
             self.shared.fetch_add(1, Ordering::Relaxed);
         }
-        col
+        WindowColumn { base, col }
     }
 }
 
@@ -418,24 +454,50 @@ impl ParamCf {
         })
     }
 
-    /// The fitted per-carrier key column, when present (packed layout,
-    /// fitted — not deserialized — model).
-    pub fn carrier_keys(&self) -> Option<&[u128]> {
-        self.keys.carriers()
+    /// The packed key of carrier `c` of `snapshot`: read off the fitted
+    /// column inside its window, packed from the carrier's attributes
+    /// outside it (an out-of-scope neighbor, a carrier the fit never saw)
+    /// and on a deserialized model.
+    #[inline]
+    pub fn carrier_key(&self, snapshot: &NetworkSnapshot, c: CarrierId) -> u128 {
+        self.keys
+            .carriers()
+            .and_then(|w| w.get(c.index()))
+            .unwrap_or_else(|| self.packed_for_carrier(&snapshot.carrier(c).attrs))
     }
 
-    /// The fitted per-pair key column, when present.
+    /// The packed key of directed pair `q` of `snapshot`: read off the
+    /// fitted column inside its window, packed from the pair's endpoints
+    /// outside it.
+    #[inline]
+    pub fn pair_key(&self, snapshot: &NetworkSnapshot, q: PairIdx) -> u128 {
+        self.keys
+            .pairs()
+            .and_then(|w| w.get(q as usize))
+            .unwrap_or_else(|| {
+                let (j, k) = snapshot.x2.pair(q);
+                self.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs)
+            })
+    }
+
+    /// The fitted per-carrier key column over the scope's carrier window,
+    /// when present (fitted — not deserialized — model).
+    pub fn carrier_keys(&self) -> Option<&[u128]> {
+        self.keys.carriers().map(|w| &*w.col)
+    }
+
+    /// The fitted per-pair key column over the scope's pair window, when
+    /// present.
     pub fn pair_keys(&self) -> Option<&[u128]> {
-        self.keys.pairs()
+        self.keys.pairs().map(|w| &*w.col)
     }
 
     /// The shared `Arc` behind the key column, when present — exposed so
-    /// tests can assert that parameters with equal dependent sets alias
-    /// one physical column.
+    /// tests can assert which parameters alias one physical column.
     pub fn key_column_arc(&self) -> Option<Arc<[u128]>> {
         match &self.keys {
             KeyColumn::None => None,
-            KeyColumn::Carrier(col) | KeyColumn::Pair(col) => Some(Arc::clone(col)),
+            KeyColumn::Carrier(w) | KeyColumn::Pair(w) => Some(Arc::clone(&w.col)),
         }
     }
 }
@@ -535,11 +597,13 @@ impl CfModel {
     /// * Parameters whose selection changed are refitted from scratch,
     ///   exactly as a full refit would.
     ///
-    /// Key columns span the whole fleet, so they are refreshed whenever
-    /// the fleet changed shape even for untouched parameters — by
-    /// splicing the surviving prefix (carrier columns; removes are LIFO,
-    /// adds append) or scattering through the pair remap, packing only
-    /// batch-born targets.
+    /// Key columns cover the scope's index window, so every parameter —
+    /// untouched ones too — ends with the column a full scoped fit would
+    /// build over `scope_after`'s window. A column whose window kept the
+    /// same targets (retune-only batches, batches that only touch other
+    /// markets) keeps its `Arc`; otherwise the old window is spliced
+    /// (carrier columns; removes are LIFO, adds append) or scattered
+    /// through the pair remap, packing only targets new to the window.
     pub fn apply_delta(&mut self, apply: &DeltaApply<'_>) -> DeltaFitReport {
         let DeltaApply {
             snapshot,
@@ -569,8 +633,10 @@ impl CfModel {
             !(m.len() == n_pairs_after
                 && m.iter().enumerate().all(|(q, s)| *s == Some(q as PairIdx)))
         });
-        let carriers_changed = !batch.added_carriers.is_empty() || !batch.removed.is_empty();
         let pairs_changed = remap.is_some();
+        let remap = remap.map(Vec::as_slice);
+        let (carrier_window, pair_window) =
+            (scope_after.carrier_window(), scope_after.pair_window());
         let added_pairs_all: Vec<PairIdx> = if pairs_changed {
             batch.added_pairs(n_pairs_after)
         } else {
@@ -665,19 +731,14 @@ impl CfModel {
                 .get(&param)
                 .map(|v| v.as_slice())
                 .unwrap_or(&[]);
+            let (window, remap) = match kind {
+                ParamKind::Singular => (carrier_window.clone(), None),
+                ParamKind::Pairwise => (pair_window.clone(), remap),
+            };
 
             if !structural && retunes.is_empty() {
                 report.params_untouched += 1;
-                refresh_key_column(
-                    &mut self.params[i],
-                    kind,
-                    arena,
-                    cache,
-                    carriers_changed,
-                    pairs_changed,
-                    remap,
-                    &added_pairs_all,
-                );
+                refresh_key_column(&mut self.params[i], kind, arena, cache, window, remap);
                 continue;
             }
 
@@ -700,16 +761,7 @@ impl CfModel {
             // Same dependent set: patch the tables in place. Refresh the
             // column first so batch-born targets can be keyed off it.
             report.params_patched += 1;
-            refresh_key_column(
-                &mut self.params[i],
-                kind,
-                arena,
-                cache,
-                carriers_changed,
-                pairs_changed,
-                remap,
-                &added_pairs_all,
-            );
+            refresh_key_column(&mut self.params[i], kind, arena, cache, window, remap);
             let pc = &mut self.params[i];
             pc.tables.thaw();
             // Retunes first, in event order: a slot retuned and then
@@ -911,11 +963,7 @@ impl CfModel {
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let pc = self.param(param);
-        let key = match pc.keys.carriers() {
-            Some(col) => col[carrier.index()],
-            None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
-        };
-        self.global_chain(pc, key, exclude)
+        self.global_chain(pc, pc.carrier_key(snapshot, carrier), exclude)
     }
 
     /// Global recommendation for an existing directed pair, reusing the
@@ -928,14 +976,7 @@ impl CfModel {
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let pc = self.param(param);
-        let key = match pc.keys.pairs() {
-            Some(col) => col[pair as usize],
-            None => {
-                let (j, k) = snapshot.x2.pair(pair);
-                pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs)
-            }
-        };
-        self.global_chain(pc, key, exclude)
+        self.global_chain(pc, pc.pair_key(snapshot, pair), exclude)
     }
 
     /// The global fallback chain over the full vote key: full-key vote,
@@ -1027,21 +1068,13 @@ impl CfModel {
         debug_assert_eq!(snapshot.catalog.def(param).kind, ParamKind::Singular);
         let pc = self.param(param);
         let exclude = || loo.then(|| snapshot.config.value(param, carrier));
-        let col = pc.keys.carriers();
-        let key = match col {
-            Some(col) => col[carrier.index()],
-            None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
-        };
+        let key = pc.carrier_key(snapshot, carrier);
         // The neighborhood vote: a linear scan of integer compares over
         // the key column (1-hop reads the CSR adjacency slice directly —
         // no BFS allocation).
         let mut table = FreqTable::new();
         let mut tally = |n: CarrierId| {
-            let nkey = match col {
-                Some(col) => col[n.index()],
-                None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-            };
-            if nkey == key {
+            if pc.carrier_key(snapshot, n) == key {
                 table.add(snapshot.config.value(param, n));
             }
         };
@@ -1082,13 +1115,9 @@ impl CfModel {
     ) -> Recommendation {
         debug_assert_eq!(snapshot.catalog.def(param).kind, ParamKind::Pairwise);
         let pc = self.param(param);
-        let (j, k) = snapshot.x2.pair(pair);
+        let (j, _) = snapshot.x2.pair(pair);
         let exclude = || loo.then(|| snapshot.config.pair_value(param, pair));
-        let col = pc.keys.pairs();
-        let key = match col {
-            Some(col) => col[pair as usize],
-            None => pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs),
-        };
+        let key = pc.pair_key(snapshot, pair);
         // Candidate pairs are sourced at `j` and its neighborhood; their
         // keys come straight off the pair column, so the scan allocates
         // nothing.
@@ -1098,14 +1127,7 @@ impl CfModel {
                 if q == pair {
                     continue; // never vote for ourselves
                 }
-                let qkey = match col {
-                    Some(col) => col[q as usize],
-                    None => {
-                        let (a, b) = snapshot.x2.pair(q);
-                        pc.packed_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs)
-                    }
-                };
-                if qkey == key {
+                if pc.pair_key(snapshot, q) == key {
                     table.add(snapshot.config.pair_value(param, q));
                 }
             }
@@ -1204,35 +1226,53 @@ where
         .collect()
 }
 
-/// Packs the full-fleet key column of a `(kind, dependent)` layout from
-/// the arena's attribute columns. Element `t`'s key is exactly
-/// `packed_for_carrier` / `packed_for_pair` of target `t` — the arena
-/// holds the same levels as the carrier structs, column-major.
-fn pack_key_column(
-    arena: &AttrArena,
-    codec: &PackedKeyCodec,
-    dependent: &[PredictorAttr],
-    kind: ParamKind,
-) -> Vec<u128> {
-    let cols: Vec<&[AttrValue]> = dependent.iter().map(|pa| arena.column(pa.attr)).collect();
-    match kind {
-        ParamKind::Singular => (0..arena.n_carriers())
-            .map(|c| codec.pack_with(|i| cols[i][c]))
-            .collect(),
-        ParamKind::Pairwise => {
-            // Per-position endpoint column: Src positions index through
-            // pair_src, Dst through pair_dst.
-            let ends: Vec<&[u32]> = dependent
+/// Packs target keys of one `(kind, dependent)` layout straight from the
+/// arena's attribute columns. Target `t`'s key is exactly
+/// `packed_for_carrier` / `packed_for_pair` of carrier / pair `t` — the
+/// arena holds the same levels as the carrier structs, column-major.
+struct ArenaPacker<'a> {
+    codec: &'a PackedKeyCodec,
+    /// Attribute column of each key position.
+    cols: Vec<&'a [AttrValue]>,
+    /// Pair targets: the endpoint column of each key position (Src
+    /// positions index through `pair_src`, Dst through `pair_dst`).
+    ends: Option<Vec<&'a [u32]>>,
+}
+
+impl<'a> ArenaPacker<'a> {
+    fn new(
+        arena: &'a AttrArena,
+        codec: &'a PackedKeyCodec,
+        dependent: &[PredictorAttr],
+        kind: ParamKind,
+    ) -> Self {
+        let ends = (kind == ParamKind::Pairwise).then(|| {
+            dependent
                 .iter()
                 .map(|pa| match pa.side {
                     Side::Src => arena.pair_src(),
                     Side::Dst => arena.pair_dst(),
                 })
-                .collect();
-            (0..arena.n_pairs())
-                .map(|p| codec.pack_with(|i| cols[i][ends[i][p] as usize]))
                 .collect()
+        });
+        Self {
+            codec,
+            cols: dependent.iter().map(|pa| arena.column(pa.attr)).collect(),
+            ends,
         }
+    }
+
+    #[inline]
+    fn pack(&self, t: usize) -> u128 {
+        match &self.ends {
+            None => self.codec.pack_with(|i| self.cols[i][t]),
+            Some(ends) => self.codec.pack_with(|i| self.cols[i][ends[i][t] as usize]),
+        }
+    }
+
+    /// The key column of the targets in `window`.
+    fn column(&self, window: Range<usize>) -> Vec<u128> {
+        window.map(|t| self.pack(t)).collect()
     }
 }
 
@@ -1246,100 +1286,88 @@ fn value_for(values: &[(ParamId, ValueIdx)], param: ParamId) -> ValueIdx {
 }
 
 /// Brings one parameter's key column up to date with the post-batch
-/// arena, doing the least possible work:
+/// arena: afterwards it covers exactly `window` (the post-batch scope's
+/// window), as a full scoped fit would build it, doing the least work:
 ///
-/// * shape unchanged → the old column is still exact, keep it;
-/// * carrier column → splice: survivors keep indices `0..min(before,
-///   after)` (removes pop from the tail, adds append), so only the tail
-///   is packed fresh;
-/// * pair column → scatter the survivors through the batch's remap and
-///   pack only the batch-born pairs;
-/// * no old column (deserialized model) → full pack.
+/// * same window, same targets in it → the old column is still exact,
+///   keep the `Arc` (retune-only batches, batches touching other
+///   markets);
+/// * targets kept their indices (carriers: removes pop from the tail,
+///   adds append; pairs: no remap) → splice: the overlap of the old and
+///   new windows is copied and only the rest is packed;
+/// * pairs moved → scatter the old window's survivors through the
+///   batch's pair remap and pack the rest;
+/// * no old column (deserialized model) → full window pack.
 ///
-/// Built columns go through the cache, so parameters sharing a layout —
-/// and, with a [`SharedKeyColumns`] passed in, per-market models
-/// absorbing the same batch — splice once and share the `Arc`.
-#[allow(clippy::too_many_arguments)]
+/// `remap` is the batch's pair remap for a pair-wise parameter, `None`
+/// for a singular one or when no pair moved.
+///
+/// Built columns go through the cache, so parameters sharing a layout
+/// and window — and, with a [`SharedKeyColumns`] passed in, per-market
+/// models absorbing the same batch — splice once and share the `Arc`.
 fn refresh_key_column(
     pc: &mut ParamCf,
     kind: ParamKind,
     arena: &AttrArena,
     cache: &KeyColumnCache,
-    carriers_changed: bool,
-    pairs_changed: bool,
-    remap: Option<&Vec<Option<PairIdx>>>,
-    added_pairs_all: &[PairIdx],
+    window: Range<usize>,
+    remap: Option<&[Option<PairIdx>]>,
 ) {
-    match kind {
-        ParamKind::Singular => {
-            let old = match &pc.keys {
-                KeyColumn::Carrier(col) => Some(Arc::clone(col)),
-                _ => None,
-            };
-            if old.is_some() && !carriers_changed {
-                return;
-            }
-            let n_after = arena.n_carriers();
-            let col = cache.get_or_build(kind, &pc.dependent, || match &old {
-                Some(old) => {
-                    let keep = old.len().min(n_after);
-                    let mut v = Vec::with_capacity(n_after);
-                    v.extend_from_slice(&old[..keep]);
-                    let cols: Vec<&[AttrValue]> = pc
-                        .dependent
-                        .iter()
-                        .map(|pa| arena.column(pa.attr))
-                        .collect();
-                    v.extend((keep..n_after).map(|c| pc.codec.pack_with(|i| cols[i][c])));
-                    v
-                }
-                None => pack_key_column(arena, &pc.codec, &pc.dependent, kind),
-            });
-            pc.keys = KeyColumn::Carrier(col);
-        }
-        ParamKind::Pairwise => {
-            let old = match &pc.keys {
-                KeyColumn::Pair(col) => Some(Arc::clone(col)),
-                _ => None,
-            };
-            if old.is_some() && !pairs_changed {
-                return;
-            }
-            let n_pairs_after = arena.n_pairs();
-            let col = cache.get_or_build(kind, &pc.dependent, || match (&old, remap) {
-                (Some(old), Some(map)) => {
-                    debug_assert_eq!(old.len(), map.len(), "remap covers the pre-batch pairs");
-                    let mut v = vec![0u128; n_pairs_after];
-                    for (q_old, slot) in map.iter().enumerate() {
-                        if let Some(q_new) = slot {
-                            v[*q_new as usize] = old[q_old];
-                        }
-                    }
-                    let cols: Vec<&[AttrValue]> = pc
-                        .dependent
-                        .iter()
-                        .map(|pa| arena.column(pa.attr))
-                        .collect();
-                    let ends: Vec<&[u32]> = pc
-                        .dependent
-                        .iter()
-                        .map(|pa| match pa.side {
-                            Side::Src => arena.pair_src(),
-                            Side::Dst => arena.pair_dst(),
-                        })
-                        .collect();
-                    for &q in added_pairs_all {
-                        v[q as usize] = pc
-                            .codec
-                            .pack_with(|i| cols[i][ends[i][q as usize] as usize]);
-                    }
-                    v
-                }
-                _ => pack_key_column(arena, &pc.codec, &pc.dependent, kind),
-            });
-            pc.keys = KeyColumn::Pair(col);
+    let old = match (&pc.keys, kind) {
+        (KeyColumn::Carrier(w), ParamKind::Singular)
+        | (KeyColumn::Pair(w), ParamKind::Pairwise) => Some(w.clone()),
+        _ => None,
+    };
+    // Where each pre-batch target landed: pairs move through the remap;
+    // everything else keeps its index (a removed carrier's id lies past
+    // the post-batch fleet, hence outside every window).
+    let moved = |t: usize| remap.map_or(Some(t), |map| map[t].map(|q| q as usize));
+    if let Some(old) = &old {
+        if old.window() == window
+            && (remap.is_none() || window.clone().all(|t| moved(t) == Some(t)))
+        {
+            return;
         }
     }
+    let keys = match kind {
+        ParamKind::Singular => KeyColumn::Carrier,
+        ParamKind::Pairwise => KeyColumn::Pair,
+    };
+    let col = cache.get_or_build(kind, &pc.dependent, window.clone(), || {
+        let packer = ArenaPacker::new(arena, &pc.codec, &pc.dependent, kind);
+        let Some(old) = old else {
+            return packer.column(window);
+        };
+        if remap.is_none() {
+            // Targets kept their indices: copy the overlap of the two
+            // windows, pack either side of it.
+            let keep = old.window().start.max(window.start)..old.window().end.min(window.end);
+            if keep.is_empty() {
+                return packer.column(window);
+            }
+            let mut v = Vec::with_capacity(window.len());
+            v.extend((window.start..keep.start).map(|t| packer.pack(t)));
+            v.extend_from_slice(&old.col[keep.start - old.base..keep.end - old.base]);
+            v.extend((keep.end..window.end).map(|t| packer.pack(t)));
+            return v;
+        }
+        // Pairs moved: scatter the old window's survivors, pack the rest.
+        let mut v = vec![0u128; window.len()];
+        let mut filled = vec![false; window.len()];
+        for (q_old, &key) in old.window().zip(old.col.iter()) {
+            if let Some(q) = moved(q_old).filter(|q| window.contains(q)) {
+                v[q - window.start] = key;
+                filled[q - window.start] = true;
+            }
+        }
+        for (i, slot) in v.iter_mut().enumerate() {
+            if !filled[i] {
+                *slot = packer.pack(window.start + i);
+            }
+        }
+        v
+    });
+    pc.keys = keys(col);
 }
 
 /// Fits one parameter: dependency selection, key-layout construction,
@@ -1400,27 +1428,34 @@ fn fit_param_with_dependent(
     // demand, so materializing a table per observation per level — the
     // paper-scale RSS cliff — buys nothing.
     //
-    // Column over the whole snapshot (not just the scope): local voting
-    // consults out-of-scope neighbors too. Built from the shared arena
+    // Column over the scope's index window only: the tables read every
+    // in-scope target off it, and local voting packs the rare
+    // out-of-window neighbor on demand. Built from the shared arena
     // columns — or shared outright with another parameter that selected
-    // the same dependent set.
-    let col = cache.get_or_build(def.kind, &pc.dependent, || {
-        pack_key_column(arena, &pc.codec, &pc.dependent, def.kind)
+    // the same dependent set over the same window.
+    let window = match def.kind {
+        ParamKind::Singular => scope.carrier_window(),
+        ParamKind::Pairwise => scope.pair_window(),
+    };
+    let w = cache.get_or_build(def.kind, &pc.dependent, window.clone(), || {
+        ArenaPacker::new(arena, &pc.codec, &pc.dependent, def.kind).column(window)
     });
     match def.kind {
         ParamKind::Singular => {
             for &c in &scope.carriers {
                 pc.tables
-                    .add_packed(col[c.index()], snapshot.config.value(param, c));
+                    .add_packed(w.col[c.index() - w.base], snapshot.config.value(param, c));
             }
-            pc.keys = KeyColumn::Carrier(col);
+            pc.keys = KeyColumn::Carrier(w);
         }
         ParamKind::Pairwise => {
             for &q in &scope.pairs {
-                pc.tables
-                    .add_packed(col[q as usize], snapshot.config.pair_value(param, q));
+                pc.tables.add_packed(
+                    w.col[q as usize - w.base],
+                    snapshot.config.pair_value(param, q),
+                );
             }
-            pc.keys = KeyColumn::Pair(col);
+            pc.keys = KeyColumn::Pair(w);
         }
     }
     pc.tables.freeze();
@@ -1952,9 +1987,9 @@ mod tests {
 
     mod keycol_proptests {
         //! Differential proptests: for any random `(kind, dependent)`
-        //! layout, the column the shared cache hands out equals a
-        //! per-target recompute straight from the carrier structs, and a
-        //! repeat request aliases the same physical `Arc`.
+        //! layout and index window, the column the shared cache hands out
+        //! equals a per-target recompute straight from the carrier
+        //! structs, and a repeat request aliases the same physical `Arc`.
 
         use super::*;
         use auric_model::AttrId;
@@ -1973,6 +2008,7 @@ mod tests {
             fn cached_columns_equal_fresh_packs(
                 spec in collection::vec((0usize..1024, 0u8..2), 1..7),
                 pairwise in 0u8..2,
+                ends in (0.0f64..=1.0, 0.0f64..=1.0),
             ) {
                 let net = shared_net();
                 let snap = &net.snapshot;
@@ -2000,21 +2036,28 @@ mod tests {
                     .collect();
                 // At most 6 attributes of the tiny schema always fit.
                 let codec = PackedKeyCodec::new(&cards).unwrap();
+                let n = match kind {
+                    ParamKind::Singular => snap.n_carriers(),
+                    ParamKind::Pairwise => snap.x2.n_pairs(),
+                };
+                let (a, b) = ((ends.0 * n as f64) as usize, (ends.1 * n as f64) as usize);
+                let window = a.min(b)..a.max(b);
                 let cache = KeyColumnCache::default();
-                let col = cache.get_or_build(kind, &dependent, || {
-                    pack_key_column(&arena, &codec, &dependent, kind)
+                let w = cache.get_or_build(kind, &dependent, window.clone(), || {
+                    ArenaPacker::new(&arena, &codec, &dependent, kind).column(window.clone())
                 });
+                prop_assert_eq!(w.window(), window.clone());
+                let col = &w.col;
                 match kind {
                     ParamKind::Singular => {
-                        prop_assert_eq!(col.len(), snap.n_carriers());
-                        for (t, c) in snap.carriers.iter().enumerate() {
+                        for t in window.clone() {
+                            let c = &snap.carriers[t];
                             let fresh = codec.pack_with(|i| c.attrs.get(dependent[i].attr));
-                            prop_assert_eq!(col[t], fresh, "carrier {} diverges", t);
+                            prop_assert_eq!(col[t - w.base], fresh, "carrier {} diverges", t);
                         }
                     }
                     ParamKind::Pairwise => {
-                        prop_assert_eq!(col.len(), snap.x2.n_pairs());
-                        for q in 0..snap.x2.n_pairs() as u32 {
+                        for q in window.start as u32..window.end as u32 {
                             let (j, k) = snap.x2.pair(q);
                             let fresh = codec.pack_with(|i| {
                                 let pa = dependent[i];
@@ -2023,13 +2066,14 @@ mod tests {
                                     Side::Dst => snap.carrier(k).attrs.get(pa.attr),
                                 }
                             });
-                            prop_assert_eq!(col[q as usize], fresh, "pair {} diverges", q);
+                            prop_assert_eq!(col[q as usize - w.base], fresh, "pair {} diverges", q);
                         }
                     }
                 }
-                let again =
-                    cache.get_or_build(kind, &dependent, || panic!("column must be cached"));
-                prop_assert!(Arc::ptr_eq(&col, &again), "repeat request must alias");
+                let again = cache.get_or_build(kind, &dependent, window, || {
+                    panic!("column must be cached")
+                });
+                prop_assert!(Arc::ptr_eq(col, &again.col), "repeat request must alias");
                 prop_assert_eq!(cache.built.load(Ordering::Relaxed), 1);
                 prop_assert_eq!(cache.shared.load(Ordering::Relaxed), 1);
             }

@@ -91,15 +91,10 @@ pub fn recommend_local_weighted(
 ) -> crate::cf::Recommendation {
     let pc = model.param(param);
     // Integer compares against the fitted key column (see cf.rs).
-    let key = pc.packed_for_carrier(&snapshot.carrier(carrier).attrs);
-    let col = pc.carrier_keys();
+    let key = pc.carrier_key(snapshot, carrier);
     let mut votes = WeightedVotes::new();
     for n in snapshot.x2.k_hop_neighbors(carrier, model.config.hops) {
-        let nkey = match col {
-            Some(col) => col[n.index()],
-            None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-        };
-        if nkey == key {
+        if pc.carrier_key(snapshot, n) == key {
             votes.add(snapshot.config.value(param, n), kpi.weight(n));
         }
     }

@@ -112,18 +112,11 @@ pub fn recommend_singular_keyed(
         .map(|(p, &key)| {
             let pc = model.param(p);
             // Local vote over the planned neighbors with matching keys:
-            // integer compares against the fitted key column.
-            let col = pc.carrier_keys();
+            // integer compares against the fitted key column (a neighbor
+            // outside its window is packed from the snapshot).
             let mut table = FreqTable::new();
             for &n in &neighbors {
-                let nkey = match col {
-                    // The fitted key column covers the fitting scope's
-                    // snapshot; a neighbor beyond it (fit on an older,
-                    // smaller network) is projected directly instead.
-                    Some(col) if n.index() < col.len() => col[n.index()],
-                    _ => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-                };
-                if nkey == key {
+                if pc.carrier_key(snapshot, n) == key {
                     table.add(snapshot.config.value(p, n));
                 }
             }
@@ -183,17 +176,12 @@ pub fn recommend_pairwise_keyed(
         .zip(keys)
         .map(|(p, &key)| {
             let pc = model.param(p);
-            // Keys come off the fitted pair column when it covers the
-            // pair; otherwise the pair's endpoints are packed directly.
-            let col = pc.pair_keys();
+            // Keys come off the fitted pair column when its window covers
+            // the pair; otherwise the pair's endpoints are packed directly.
             let values = snapshot.config.pair_values_of(p);
             let mut table = FreqTable::new();
-            for &(q, a, b) in &candidates {
-                let qkey = match col {
-                    Some(col) if (q as usize) < col.len() => col[q as usize],
-                    _ => pc.packed_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs),
-                };
-                if qkey == key {
+            for &q in &candidates {
+                if pc.pair_key(snapshot, q) == key {
                     table.add(values[q as usize]);
                 }
             }
@@ -203,11 +191,10 @@ pub fn recommend_pairwise_keyed(
         .collect()
 }
 
-/// The directed pairs a pair-wise cold-start vote scans, as
-/// `(pair, source, destination)`: every pair sourced at a planned
-/// neighbor, in planned-neighbor order (a neighbor listed twice is
-/// scanned twice). The list does not depend on the parameter, so it is
-/// built once per request.
+/// The directed pairs a pair-wise cold-start vote scans: every pair
+/// sourced at a planned neighbor, in planned-neighbor order (a neighbor
+/// listed twice is scanned twice). The list does not depend on the
+/// parameter, so it is built once per request.
 ///
 /// Scanning only `pairs_from(n)` (pairs whose *source* is a planned
 /// neighbor) still covers both directions of every relation between
@@ -227,7 +214,7 @@ fn candidate_pairs(
     snapshot: &NetworkSnapshot,
     model: &CfModel,
     neighbors: &[CarrierId],
-) -> Vec<(PairIdx, CarrierId, CarrierId)> {
+) -> Vec<PairIdx> {
     let x2 = &snapshot.x2;
     let mut out = Vec::new();
     for &n in neighbors {
@@ -236,7 +223,7 @@ fn candidate_pairs(
                 model.recorder().inc("cf.coldstart.asymmetric_pair");
                 continue;
             }
-            out.push((q, n, b));
+            out.push(q);
         }
     }
     out
@@ -617,14 +604,9 @@ mod tests {
             .map(|p| {
                 let pc = model.param(p);
                 let key = pc.packed_for_carrier(&new_carrier.attrs);
-                let col = pc.carrier_keys();
                 let mut table = FreqTable::new();
                 for &n in &neighbors {
-                    let nkey = match col {
-                        Some(col) if n.index() < col.len() => col[n.index()],
-                        _ => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-                    };
-                    if nkey == key {
+                    if pc.carrier_key(snapshot, n) == key {
                         table.add(snapshot.config.value(p, n));
                     }
                 }
@@ -672,7 +654,6 @@ mod tests {
             .map(|p| {
                 let pc = model.param(p);
                 let key = pc.packed_for_pair(&new_carrier.attrs, dst);
-                let col = pc.pair_keys();
                 let mut table = FreqTable::new();
                 for &n in &neighbors {
                     for q in snapshot.x2.pairs_from(n) {
@@ -681,14 +662,7 @@ mod tests {
                             obs.inc("cf.coldstart.asymmetric_pair");
                             continue;
                         }
-                        let qkey = match col {
-                            Some(col) if (q as usize) < col.len() => col[q as usize],
-                            _ => pc.packed_for_pair(
-                                &snapshot.carrier(a).attrs,
-                                &snapshot.carrier(b).attrs,
-                            ),
-                        };
-                        if qkey == key {
+                        if pc.pair_key(snapshot, q) == key {
                             table.add(snapshot.config.pair_value(p, q));
                         }
                     }

@@ -7,6 +7,7 @@
 
 use auric_model::{CarrierId, MarketId, NetworkSnapshot, PairIdx};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A subset of the network used for learning/evaluation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,6 +56,26 @@ impl Scope {
     pub fn n_pairs(&self) -> usize {
         self.pairs.len()
     }
+
+    /// The carrier index window `first..last + 1` of the scope (`0..0`
+    /// when it has no carriers). A fitted singular parameter keeps packed
+    /// keys for exactly this window.
+    pub fn carrier_window(&self) -> Range<usize> {
+        match (self.carriers.first(), self.carriers.last()) {
+            (Some(lo), Some(hi)) => lo.index()..hi.index() + 1,
+            _ => 0..0,
+        }
+    }
+
+    /// The pair index window `first..last + 1` of the scope (`0..0` when
+    /// it has no pairs). A fitted pair-wise parameter keeps packed keys
+    /// for exactly this window.
+    pub fn pair_window(&self) -> Range<usize> {
+        match (self.pairs.first(), self.pairs.last()) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize + 1,
+            _ => 0..0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +107,27 @@ mod tests {
             .map(|m| Scope::market(snap, m.id).n_pairs())
             .sum();
         assert_eq!(total_pairs, snap.x2.n_pairs());
+    }
+
+    #[test]
+    fn windows_span_first_to_last_member() {
+        let net = generate(&NetScale::tiny(), &TuningKnobs::none());
+        let snap = &net.snapshot;
+        let whole = Scope::whole(snap);
+        assert_eq!(whole.carrier_window(), 0..snap.n_carriers());
+        assert_eq!(whole.pair_window(), 0..snap.x2.n_pairs());
+        let s = Scope::market(snap, snap.markets[1].id);
+        let cw = s.carrier_window();
+        assert_eq!(cw.start, s.carriers[0].index());
+        assert_eq!(cw.end, s.carriers.last().unwrap().index() + 1);
+        let pw = s.pair_window();
+        assert_eq!(pw.start, s.pairs[0] as usize);
+        assert_eq!(pw.end, *s.pairs.last().unwrap() as usize + 1);
+        let empty = Scope {
+            carriers: Vec::new(),
+            pairs: Vec::new(),
+        };
+        assert_eq!((empty.carrier_window(), empty.pair_window()), (0..0, 0..0));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use auric_core::{CfConfig, CfModel, DeltaApply, Scope, SharedKeyColumns};
 use auric_model::{
     apply_fleet_deltas, empty_snapshot, AppliedBatch, AttrArena, CarrierId, DeltaSlot, FleetDelta,
-    MarketId, NetworkSnapshot, Provenance,
+    MarketId, NetworkSnapshot, ParamKind, Provenance,
 };
 use auric_netgen::{stream, NetScale, TuningKnobs};
+use std::sync::Arc;
 
 fn json(model: &CfModel) -> String {
     serde_json::to_string(model).expect("model serializes")
@@ -237,6 +238,43 @@ fn synthetic_retunes_removals_and_edge_adds_match_full_refit() {
     }
 }
 
+/// Asserts that `model`'s key columns equal those of `refit`, a full fit
+/// over the same scope (the wire JSON leaves columns out).
+fn assert_same_columns(model: &CfModel, refit: &CfModel, what: &str) {
+    for (a, b) in model.params().iter().zip(refit.params()) {
+        assert_eq!(
+            (a.carrier_keys(), a.pair_keys()),
+            (b.carrier_keys(), b.pair_keys()),
+            "{what}, param {:?}: key column differs from the scoped refit",
+            a.param
+        );
+    }
+}
+
+/// Picks two carriers of market `m` with no X2 edge between them.
+fn absent_edge_in(snapshot: &NetworkSnapshot, m: MarketId) -> (CarrierId, CarrierId) {
+    let cs = snapshot.carriers_in_market(m);
+    for (i, &a) in cs.iter().enumerate() {
+        for &b in &cs[i + 1..] {
+            if !snapshot.x2.neighbors(a).contains(&b) {
+                return (a, b);
+            }
+        }
+    }
+    panic!("market {m:?} is a clique");
+}
+
+/// Whether a batch left the targets of a scope's window alone: the window
+/// is unchanged and (pairs) the remap sends every pair in it to itself.
+fn window_untouched(
+    before: std::ops::Range<usize>,
+    after: std::ops::Range<usize>,
+    remap: Option<&[Option<u32>]>,
+) -> bool {
+    before == after
+        && remap.is_none_or(|map| after.clone().all(|q| map.get(q) == Some(&Some(q as u32))))
+}
+
 #[test]
 fn per_market_models_with_a_shared_cache_match_scoped_refits() {
     let scale = NetScale::tiny();
@@ -257,24 +295,67 @@ fn per_market_models_with_a_shared_cache_match_scoped_refits() {
         .collect();
     let mut models: Vec<CfModel> = scopes.iter().map(|sc| full_fit(&snapshot, sc)).collect();
 
-    // Phase B (retunes) plus a synthetic structural tail batch, applied
-    // to every market model through one shared key-column cache.
+    // Phase B (retunes), then structural batches, applied to every market
+    // model through one shared key-column cache per batch.
     let mut batches: Vec<Vec<FleetDelta>> = Vec::new();
     while let Some(b) = s.next_batch() {
         batches.push(b);
     }
-    batches.push(vec![FleetDelta::RemoveCarrier {
-        id: CarrierId(snapshot.n_carriers() as u32 - 1),
-    }]);
+    let n_retune_batches = batches.len();
+    let last_market = *markets.last().unwrap();
+    let n_structural = 3;
 
-    let n_batches = batches.len();
-    for (i, batch) in batches.iter().enumerate() {
-        let digest = apply_fleet_deltas(&mut snapshot, batch).expect("consistent batch");
+    // Per structural batch: parameters that kept their column.
+    let mut kept = vec![0usize; n_structural];
+    for i in 0..n_retune_batches + n_structural {
+        // Structural batches are built against the current snapshot.
+        let structural = i >= n_retune_batches;
+        let batch = match i.checked_sub(n_retune_batches) {
+            None => batches[i].clone(),
+            // Remove the tail carrier (the last market's): that market's
+            // windows shrink, market 0's stay put.
+            Some(0) => {
+                let tail = CarrierId(snapshot.n_carriers() as u32 - 1);
+                assert_eq!(snapshot.carrier(tail).market, last_market);
+                vec![FleetDelta::RemoveCarrier { id: tail }]
+            }
+            // Add a carrier to market 0: it takes the next id, so market
+            // 0's carrier window widens across every other market.
+            Some(1) => {
+                let mut carrier = snapshot.carrier(CarrierId(0)).clone();
+                carrier.id = CarrierId(snapshot.n_carriers() as u32);
+                let base = snapshot
+                    .catalog
+                    .singular_ids()
+                    .map(|p| snapshot.config.value(p, CarrierId(0)))
+                    .collect();
+                vec![FleetDelta::AddCarrier { carrier, base }]
+            }
+            // Insert an X2 edge inside market 0: its two directed pairs
+            // land inside market 0's pair range and shift every later
+            // market's pair window.
+            _ => {
+                let (a, b) = absent_edge_in(&snapshot, markets[0]);
+                let base: Vec<_> = snapshot
+                    .catalog
+                    .pairwise_ids()
+                    .map(|p| snapshot.config.pair_value(p, 0))
+                    .collect();
+                vec![FleetDelta::AddX2Edge {
+                    a,
+                    b,
+                    base_ab: base.clone(),
+                    base_ba: base,
+                }]
+            }
+        };
+        let digest = apply_fleet_deltas(&mut snapshot, &batch).expect("consistent batch");
         arena.append(&snapshot);
         let cache = SharedKeyColumns::new();
         for (mi, &m) in markets.iter().enumerate() {
             let after = Scope::market(&snapshot, m);
             let before = std::mem::replace(&mut scopes[mi], after);
+            let old = models[mi].clone();
             models[mi].apply_delta(&DeltaApply {
                 snapshot: &snapshot,
                 arena: &arena,
@@ -283,45 +364,71 @@ fn per_market_models_with_a_shared_cache_match_scoped_refits() {
                 batch: &digest,
                 key_cache: Some(cache.clone()),
             });
-        }
-        if i % 9 == 0 || i + 1 == n_batches {
-            for (mi, model) in models.iter().enumerate() {
-                assert_eq!(
-                    json(model),
-                    json(&full_fit(&snapshot, &scopes[mi])),
-                    "batch {i}, market {mi}: incremental model diverged from scoped refit"
-                );
+            // A parameter whose layout survived keeps its physical column
+            // when the batch left the targets of its window alone.
+            let remap = digest.pair_remap.as_deref();
+            let untouched_carriers =
+                window_untouched(before.carrier_window(), scopes[mi].carrier_window(), None);
+            let untouched_pairs =
+                window_untouched(before.pair_window(), scopes[mi].pair_window(), remap);
+            for (a, b) in old.params().iter().zip(models[mi].params()) {
+                let untouched = match snapshot.catalog.def(a.param).kind {
+                    ParamKind::Singular => untouched_carriers,
+                    ParamKind::Pairwise => untouched_pairs,
+                };
+                if untouched && a.dependent == b.dependent {
+                    assert!(
+                        Arc::ptr_eq(&a.key_column_arc().unwrap(), &b.key_column_arc().unwrap()),
+                        "batch {i}, market {mi}, param {:?}: untouched window lost its column",
+                        a.param
+                    );
+                    if structural {
+                        kept[i - n_retune_batches] += 1;
+                    }
+                }
             }
         }
-        if i + 1 == n_batches {
-            // The structural batch respliced fleet-wide key columns;
-            // both market models need them, so the shared cache must
-            // have served at least one from the other's build.
-            assert!(
-                cache.shared() > 0,
-                "structural batch should share spliced columns across market models"
-            );
+        if i % 9 == 0 || structural {
+            for (mi, model) in models.iter().enumerate() {
+                let refit = full_fit(&snapshot, &scopes[mi]);
+                assert_eq!(
+                    json(model),
+                    json(&refit),
+                    "batch {i}, market {mi}: incremental model diverged from scoped refit"
+                );
+                assert_same_columns(model, &refit, &format!("batch {i}, market {mi}"));
+            }
         }
     }
+    // Each structural batch leaves some market's window alone: the
+    // removal and the carrier add touch one market's carriers, the edge
+    // insert touches no carrier window.
+    assert!(
+        kept.iter().all(|&k| k > 0),
+        "a structural batch kept no column: {kept:?}"
+    );
 
-    // The structural tail removed a carrier of one market: the other
-    // market's model must have seen every parameter as untouched.
+    // Sanity: rolling an *empty* digest forward is a no-op — same
+    // tables, same physical columns.
     let digest = AppliedBatch::default();
-    for model in &models {
-        // Sanity: rolling an *empty* digest forward is a no-op.
-        let before = Scope::whole(&snapshot);
-        let after = Scope::whole(&snapshot);
+    for (model, scope) in models.iter().zip(&scopes) {
         let mut m = model.clone();
         let report = m.apply_delta(&DeltaApply {
             snapshot: &snapshot,
             arena: &arena,
-            scope_before: &before,
-            scope_after: &after,
+            scope_before: scope,
+            scope_after: scope,
             batch: &digest,
             key_cache: None,
         });
         assert_eq!(report.params_rebuilt + report.params_patched, 0);
         assert_eq!(json(&m), json(model));
+        for (a, b) in m.params().iter().zip(model.params()) {
+            assert!(Arc::ptr_eq(
+                &a.key_column_arc().unwrap(),
+                &b.key_column_arc().unwrap()
+            ));
+        }
     }
 }
 

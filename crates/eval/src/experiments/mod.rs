@@ -35,8 +35,9 @@ pub fn fit_per_market(
     obs: &Recorder,
 ) -> Vec<(Scope, CfModel)> {
     let span = obs.span("eval.fit_per_market");
-    // Key columns span the whole snapshot, not the fit scope, so per-market
-    // fits that land on the same (kind, ordered layout) can reuse them.
+    // Key columns cover each fit scope's index window, so markets never
+    // share a column; one cache across the fits still makes the
+    // `cf.fit.keycol.*` gauges report the total over every market.
     let key_cache = SharedKeyColumns::new();
     let models = snapshot
         .markets

@@ -154,8 +154,9 @@ impl Service {
     /// Streaming ingestion: rolls **every** shard forward over one
     /// applied delta batch against the post-batch snapshot, swapping
     /// each shard's `(snapshot, model)` pair under its epoch/cache
-    /// invariants. Shards share one key-column cache for the batch, so
-    /// fleet-wide spliced columns are built once, not per market. Each
+    /// invariants. Shards share one key-column cache for the batch; each
+    /// shard's columns cover its own market's window, so sharing happens
+    /// between parameters with the same layout inside a market. Each
     /// shard's seeded refit fault stream still applies — a shard that
     /// draws a failure, or that a concurrent refit overtook
     /// ([`RefitError::Superseded`]), keeps its current pair and reports
