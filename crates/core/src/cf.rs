@@ -115,10 +115,9 @@ pub struct DeltaApply<'a> {
     pub scope_after: &'a Scope,
     /// What the batch did, in incremental-fit vocabulary.
     pub batch: &'a AppliedBatch,
-    /// Key-column cache shared across models applying the **same** batch
-    /// to the same post-batch snapshot (per-market shard models): a
-    /// rebuilt column is shared by every parameter with the same kind,
-    /// dependent set and window — in practice, parameters of one market.
+    /// Key-column cache for the columns the batch makes the model pack
+    /// afresh, tied to the post-batch snapshot: a packed column is shared
+    /// by every parameter with the same kind, dependent set and window.
     /// `None` uses a private cache.
     pub key_cache: Option<SharedKeyColumns>,
 }
@@ -127,8 +126,9 @@ pub struct DeltaApply<'a> {
 /// observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaFitReport {
-    /// Parameters whose tables were updated in place (dependency
-    /// selection re-ran and landed on the same attribute set).
+    /// Touched parameters whose dependency selection re-ran and landed on
+    /// the same attribute set: same key layout, tables rebuilt from the
+    /// (kept or refreshed) key column.
     pub params_patched: usize,
     /// Parameters refitted from scratch (dependency selection changed).
     pub params_rebuilt: usize,
@@ -136,13 +136,16 @@ pub struct DeltaFitReport {
     /// removes, or retunes): tables untouched, key column refreshed only
     /// if the batch changed the targets in its window.
     pub params_untouched: usize,
-    /// In-scope observations added to patched tables (per parameter).
+    /// In-scope targets the batch added, summed over the patched
+    /// parameters of their kind.
     pub obs_added: u64,
-    /// In-scope observations removed from patched tables (per parameter).
+    /// In-scope targets the batch removed, summed over the patched
+    /// parameters of their kind.
     pub obs_removed: u64,
-    /// Table increments that clamped at the counter ceiling instead of
-    /// overflowing (see `FreqTable::add_count`). Nonzero means vote
-    /// counts are saturated and support ratios are approximate.
+    /// Always 0: touched tables are rebuilt from at most one count per
+    /// in-scope target, which cannot reach the counter ceiling. Kept so
+    /// reports and the `cf.delta.count_saturated` counter keep their
+    /// shape.
     pub count_saturated: u64,
 }
 
@@ -582,28 +585,25 @@ impl CfModel {
 
     /// Rolls the fitted model forward over one applied delta batch,
     /// producing **byte-for-byte the model a full refit of the post-batch
-    /// snapshot would produce** (same wire JSON) at a fraction of the
-    /// work and peak memory:
+    /// snapshot would produce** (same wire JSON, same key columns):
     ///
     /// * Parameters with no in-scope adds, removes, or retunes keep their
     ///   tables untouched — dependency selection over unchanged samples
     ///   is deterministic, so re-running it would land on the same set.
-    /// * Touched parameters re-run dependency selection; if the selected
-    ///   set is unchanged the frozen tables are thawed, patched with the
-    ///   exact observation diff (retunes swap stale votes in event order,
-    ///   removed targets subtract, batch-born targets add), and
-    ///   re-frozen. Vote groups are key-sorted multisets, so patching to
-    ///   the same multiset yields identical bytes.
-    /// * Parameters whose selection changed are refitted from scratch,
-    ///   exactly as a full refit would.
+    /// * Touched parameters re-run dependency selection. If the selected
+    ///   set is unchanged the layout stays and the tables are rebuilt
+    ///   from the key column over `scope_after`, by the same step the fit
+    ///   uses; if it changed the parameter is refitted from scratch.
+    ///
+    /// Vote tables never change after they are built: a touched
+    /// parameter gets new tables, so a clone of the pre-batch model keeps
+    /// answering from its own.
     ///
     /// Key columns cover the scope's index window, so every parameter —
     /// untouched ones too — ends with the column a full scoped fit would
     /// build over `scope_after`'s window. A column whose window kept the
     /// same targets (retune-only batches, batches that only touch other
-    /// markets) keeps its `Arc`; otherwise the old window is spliced
-    /// (carrier columns; removes are LIFO, adds append) or scattered
-    /// through the pair remap, packing only targets new to the window.
+    /// markets) keeps its `Arc`; any other is packed afresh.
     pub fn apply_delta(&mut self, apply: &DeltaApply<'_>) -> DeltaFitReport {
         let DeltaApply {
             snapshot,
@@ -629,57 +629,44 @@ impl CfModel {
 
         // The remap only matters when pair indices actually moved; a
         // same-length identity map means every pair kept its index.
-        let remap: Option<&Vec<Option<PairIdx>>> = batch.pair_remap.as_ref().filter(|m| {
+        let remap: Option<&[Option<PairIdx>]> = batch.pair_remap.as_deref().filter(|m| {
             !(m.len() == n_pairs_after
                 && m.iter().enumerate().all(|(q, s)| *s == Some(q as PairIdx)))
         });
-        let pairs_changed = remap.is_some();
-        let remap = remap.map(Vec::as_slice);
-        let (carrier_window, pair_window) =
-            (scope_after.carrier_window(), scope_after.pair_window());
-        let added_pairs_all: Vec<PairIdx> = if pairs_changed {
-            batch.added_pairs(n_pairs_after)
-        } else {
-            Vec::new()
-        };
 
-        // Scope-filtered views of the digest. Membership of batch-born
+        // In-scope target counts of the digest. Membership of batch-born
         // targets reads `scope_after`; removed targets are only known to
         // `scope_before`. A removed pair belongs to the scope iff its
         // source carrier does, matching how `Scope` collects pairs.
         let in_carriers = |scope: &Scope, c: CarrierId| scope.carriers.binary_search(&c).is_ok();
-        let added_in_scope: Vec<CarrierId> = batch
+        let added_carriers = batch
             .added_carriers
             .iter()
-            .copied()
-            .filter(|&c| in_carriers(scope_after, c))
-            .collect();
-        let removed_in_scope: Vec<&auric_model::RemovedCarrier> = batch
+            .filter(|&&c| in_carriers(scope_after, c))
+            .count();
+        let removed_carriers = batch
             .removed
             .iter()
             .filter(|rec| in_carriers(scope_before, rec.id))
-            .collect();
-        let added_pairs_in_scope: Vec<PairIdx> = added_pairs_all
+            .count();
+        let added_pairs = batch
+            .added_pairs(n_pairs_after)
             .iter()
-            .copied()
             .filter(|q| scope_after.pairs.binary_search(q).is_ok())
-            .collect();
-        let removed_pairs_in_scope: usize = removed_in_scope
+            .count();
+        let removed_pairs = batch
+            .removed
             .iter()
-            .map(|rec| {
-                rec.pairs
-                    .iter()
-                    .filter(|rp| in_carriers(scope_before, rp.src))
-                    .count()
-            })
-            .sum();
+            .flat_map(|rec| &rec.pairs)
+            .filter(|rp| in_carriers(scope_before, rp.src))
+            .count();
 
         // Retunes land on pre-batch slots. A slot whose source carrier
         // survived has batch-stable membership (the scoping contract), so
         // either scope answers; a removed carrier's id sits at or beyond
         // `n_after` (removes pop from the tail) and only `scope_before`
         // knows it.
-        let retune_in_scope = |r: &AppliedRetune| {
+        let retune_in_scope = |r: &&AppliedRetune| {
             let src = match r.slot {
                 DeltaSlot::Carrier(c) => c,
                 DeltaSlot::Pair(a, _) => a,
@@ -691,54 +678,28 @@ impl CfModel {
             };
             in_carriers(scope, src)
         };
-        let mut retunes_by_param: HashMap<ParamId, Vec<&AppliedRetune>> = HashMap::new();
-        for r in batch.retunes.iter().filter(|r| retune_in_scope(r)) {
-            retunes_by_param.entry(r.param).or_default().push(r);
+        let n_params = self.params.len();
+        debug_assert_eq!(n_params, snapshot.catalog.len());
+        let mut retuned = vec![false; n_params];
+        for r in batch.retunes.iter().filter(retune_in_scope) {
+            retuned[r.param.index()] = true;
         }
-
-        // Attribute lookup that also covers carriers the batch removed
-        // (their final attrs ride in the digest).
-        let removed_attrs: HashMap<CarrierId, &AttrVec> = batch
-            .removed
-            .iter()
-            .map(|rec| (rec.id, &rec.attrs))
-            .collect();
-        let attrs_of = |c: CarrierId| -> &AttrVec {
-            if c.index() < n_after {
-                &snapshot.carrier(c).attrs
-            } else {
-                removed_attrs[&c]
-            }
-        };
 
         let cache = key_cache.clone().unwrap_or_default();
         let cache = &*cache.0;
         cache.guard_fleet(snapshot);
 
         let mut report = DeltaFitReport::default();
-        let n_params = self.params.len();
-        debug_assert_eq!(n_params, snapshot.catalog.len());
-        for i in 0..n_params {
+        for (i, pc) in self.params.iter_mut().enumerate() {
             let param = ParamId(i as u16);
             let kind = snapshot.catalog.def(param).kind;
-            let structural = match kind {
-                ParamKind::Singular => !added_in_scope.is_empty() || !removed_in_scope.is_empty(),
-                ParamKind::Pairwise => {
-                    !added_pairs_in_scope.is_empty() || removed_pairs_in_scope > 0
-                }
+            let (added, removed, remap) = match kind {
+                ParamKind::Singular => (added_carriers, removed_carriers, None),
+                ParamKind::Pairwise => (added_pairs, removed_pairs, remap),
             };
-            let retunes: &[&AppliedRetune] = retunes_by_param
-                .get(&param)
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
-            let (window, remap) = match kind {
-                ParamKind::Singular => (carrier_window.clone(), None),
-                ParamKind::Pairwise => (pair_window.clone(), remap),
-            };
-
-            if !structural && retunes.is_empty() {
+            if added == 0 && removed == 0 && !retuned[i] {
                 report.params_untouched += 1;
-                refresh_key_column(&mut self.params[i], kind, arena, cache, window, remap);
+                refresh_key_column(pc, kind, arena, cache, window(scope_after, kind), remap);
                 continue;
             }
 
@@ -751,82 +712,16 @@ impl CfModel {
                 param,
                 &self.config.select_options(&obs),
             );
-            if dependent != self.params[i].dependent {
-                self.params[i] =
+            if dependent != pc.dependent {
+                *pc =
                     fit_param_with_dependent(snapshot, arena, cache, scope_after, param, dependent);
                 report.params_rebuilt += 1;
                 continue;
             }
-
-            // Same dependent set: patch the tables in place. Refresh the
-            // column first so batch-born targets can be keyed off it.
+            build_tables(pc, kind, snapshot, arena, cache, scope_after, remap);
             report.params_patched += 1;
-            refresh_key_column(&mut self.params[i], kind, arena, cache, window, remap);
-            let pc = &mut self.params[i];
-            pc.tables.thaw();
-            // Retunes first, in event order: a slot retuned and then
-            // removed in the same batch carries its *final* value in the
-            // removal record, so the swap must land before the subtract.
-            for r in retunes {
-                let key = match r.slot {
-                    DeltaSlot::Carrier(c) => pc.packed_for_carrier(attrs_of(c)),
-                    DeltaSlot::Pair(a, b) => pc.packed_for_pair(attrs_of(a), attrs_of(b)),
-                };
-                pc.tables.remove_packed(key, r.old);
-                let sat = pc.tables.add_packed_count(key, r.new, 1);
-                report.count_saturated += sat as u64;
-            }
-            // Subtract everything that left the scope with a removal.
-            for rec in &removed_in_scope {
-                match kind {
-                    ParamKind::Singular => {
-                        let key = pc.packed_for_carrier(&rec.attrs);
-                        pc.tables.remove_packed(key, value_for(&rec.values, param));
-                        report.obs_removed += 1;
-                    }
-                    ParamKind::Pairwise => {
-                        for rp in rec
-                            .pairs
-                            .iter()
-                            .filter(|rp| in_carriers(scope_before, rp.src))
-                        {
-                            let key = pc.packed_for_pair(&rp.src_attrs, &rp.dst_attrs);
-                            pc.tables.remove_packed(key, value_for(&rp.values, param));
-                            report.obs_removed += 1;
-                        }
-                    }
-                }
-            }
-            // Add everything the batch created inside the scope.
-            match kind {
-                ParamKind::Singular => {
-                    for &c in &added_in_scope {
-                        let key = pc.packed_for_carrier(&snapshot.carrier(c).attrs);
-                        let sat =
-                            pc.tables
-                                .add_packed_count(key, snapshot.config.value(param, c), 1);
-                        report.count_saturated += sat as u64;
-                        report.obs_added += 1;
-                    }
-                }
-                ParamKind::Pairwise => {
-                    for &q in &added_pairs_in_scope {
-                        let (j, k) = snapshot.x2.pair(q);
-                        let key = pc.packed_for_pair(
-                            &snapshot.carrier(j).attrs,
-                            &snapshot.carrier(k).attrs,
-                        );
-                        let sat = pc.tables.add_packed_count(
-                            key,
-                            snapshot.config.pair_value(param, q),
-                            1,
-                        );
-                        report.count_saturated += sat as u64;
-                        report.obs_added += 1;
-                    }
-                }
-            }
-            pc.tables.freeze();
+            report.obs_added += added as u64;
+            report.obs_removed += removed as u64;
         }
 
         obs.add("cf.delta.params_patched", report.params_patched as u64);
@@ -1276,35 +1171,25 @@ impl<'a> ArenaPacker<'a> {
     }
 }
 
-/// The `(param, value)` slot of a removed-target record.
-fn value_for(values: &[(ParamId, ValueIdx)], param: ParamId) -> ValueIdx {
-    values
-        .iter()
-        .find(|(p, _)| *p == param)
-        .map(|(_, v)| *v)
-        .expect("removal records carry every parameter of their kind")
+/// The index window of `scope` that a parameter of `kind` keys: carriers
+/// for singular parameters, directed pairs for pair-wise ones.
+fn window(scope: &Scope, kind: ParamKind) -> Range<usize> {
+    match kind {
+        ParamKind::Singular => scope.carrier_window(),
+        ParamKind::Pairwise => scope.pair_window(),
+    }
 }
 
-/// Brings one parameter's key column up to date with the post-batch
-/// arena: afterwards it covers exactly `window` (the post-batch scope's
-/// window), as a full scoped fit would build it, doing the least work:
-///
-/// * same window, same targets in it → the old column is still exact,
-///   keep the `Arc` (retune-only batches, batches touching other
-///   markets);
-/// * targets kept their indices (carriers: removes pop from the tail,
-///   adds append; pairs: no remap) → splice: the overlap of the old and
-///   new windows is copied and only the rest is packed;
-/// * pairs moved → scatter the old window's survivors through the
-///   batch's pair remap and pack the rest;
-/// * no old column (deserialized model) → full window pack.
+/// Brings one parameter's key column to `window` over `arena` and
+/// returns it. A column that already covers `window` with the same
+/// targets in it keeps its `Arc` (retune-only batches, batches touching
+/// other markets); any other — a moved window, moved pairs, a fresh
+/// parameter or a deserialized model — is packed afresh through the
+/// cache, so parameters sharing a layout and window share one column.
 ///
 /// `remap` is the batch's pair remap for a pair-wise parameter, `None`
-/// for a singular one or when no pair moved.
-///
-/// Built columns go through the cache, so parameters sharing a layout
-/// and window — and, with a [`SharedKeyColumns`] passed in, per-market
-/// models absorbing the same batch — splice once and share the `Arc`.
+/// for a singular one or when no pair moved (carriers keep their ids:
+/// removes pop from the tail, adds append).
 fn refresh_key_column(
     pc: &mut ParamCf,
     kind: ParamKind,
@@ -1312,62 +1197,63 @@ fn refresh_key_column(
     cache: &KeyColumnCache,
     window: Range<usize>,
     remap: Option<&[Option<PairIdx>]>,
-) {
-    let old = match (&pc.keys, kind) {
-        (KeyColumn::Carrier(w), ParamKind::Singular)
-        | (KeyColumn::Pair(w), ParamKind::Pairwise) => Some(w.clone()),
-        _ => None,
-    };
-    // Where each pre-batch target landed: pairs move through the remap;
-    // everything else keeps its index (a removed carrier's id lies past
-    // the post-batch fleet, hence outside every window).
-    let moved = |t: usize| remap.map_or(Some(t), |map| map[t].map(|q| q as usize));
-    if let Some(old) = &old {
-        if old.window() == window
-            && (remap.is_none() || window.clone().all(|t| moved(t) == Some(t)))
-        {
-            return;
+) -> WindowColumn {
+    if let (KeyColumn::Carrier(w), ParamKind::Singular)
+    | (KeyColumn::Pair(w), ParamKind::Pairwise) = (&pc.keys, kind)
+    {
+        let same_targets = w.window() == window
+            && match remap {
+                None => true,
+                Some(map) => window.clone().all(|t| map[t] == Some(t as PairIdx)),
+            };
+        if same_targets {
+            return w.clone();
         }
     }
-    let keys = match kind {
-        ParamKind::Singular => KeyColumn::Carrier,
-        ParamKind::Pairwise => KeyColumn::Pair,
-    };
-    let col = cache.get_or_build(kind, &pc.dependent, window.clone(), || {
-        let packer = ArenaPacker::new(arena, &pc.codec, &pc.dependent, kind);
-        let Some(old) = old else {
-            return packer.column(window);
-        };
-        if remap.is_none() {
-            // Targets kept their indices: copy the overlap of the two
-            // windows, pack either side of it.
-            let keep = old.window().start.max(window.start)..old.window().end.min(window.end);
-            if keep.is_empty() {
-                return packer.column(window);
-            }
-            let mut v = Vec::with_capacity(window.len());
-            v.extend((window.start..keep.start).map(|t| packer.pack(t)));
-            v.extend_from_slice(&old.col[keep.start - old.base..keep.end - old.base]);
-            v.extend((keep.end..window.end).map(|t| packer.pack(t)));
-            return v;
-        }
-        // Pairs moved: scatter the old window's survivors, pack the rest.
-        let mut v = vec![0u128; window.len()];
-        let mut filled = vec![false; window.len()];
-        for (q_old, &key) in old.window().zip(old.col.iter()) {
-            if let Some(q) = moved(q_old).filter(|q| window.contains(q)) {
-                v[q - window.start] = key;
-                filled[q - window.start] = true;
-            }
-        }
-        for (i, slot) in v.iter_mut().enumerate() {
-            if !filled[i] {
-                *slot = packer.pack(window.start + i);
-            }
-        }
-        v
+    let w = cache.get_or_build(kind, &pc.dependent, window.clone(), || {
+        ArenaPacker::new(arena, &pc.codec, &pc.dependent, kind).column(window)
     });
-    pc.keys = keys(col);
+    pc.keys = match kind {
+        ParamKind::Singular => KeyColumn::Carrier(w.clone()),
+        ParamKind::Pairwise => KeyColumn::Pair(w.clone()),
+    };
+    w
+}
+
+/// The build step the fit and [`CfModel::apply_delta`] share: brings the
+/// key column to `scope`'s window ([`refresh_key_column`]), then builds
+/// the vote tables from one `(key, value)` observation per in-scope
+/// target, read off that column.
+///
+/// Only the full-key tables are built: prefix (backoff) groups are
+/// contiguous runs of the sorted groups and aggregate on demand, so
+/// materializing a table per observation per level — the paper-scale RSS
+/// cliff — buys nothing.
+fn build_tables(
+    pc: &mut ParamCf,
+    kind: ParamKind,
+    snapshot: &NetworkSnapshot,
+    arena: &AttrArena,
+    cache: &KeyColumnCache,
+    scope: &Scope,
+    remap: Option<&[Option<PairIdx>]>,
+) {
+    let w = refresh_key_column(pc, kind, arena, cache, window(scope, kind), remap);
+    let (param, config) = (pc.param, &snapshot.config);
+    pc.tables = match kind {
+        ParamKind::Singular => VoteTables::from_observations(
+            scope
+                .carriers
+                .iter()
+                .map(|&c| (w.col[c.index() - w.base], config.value(param, c))),
+        ),
+        ParamKind::Pairwise => VoteTables::from_observations(
+            scope
+                .pairs
+                .iter()
+                .map(|&q| (w.col[q as usize - w.base], config.pair_value(param, q))),
+        ),
+    };
 }
 
 /// Fits one parameter: dependency selection, key-layout construction,
@@ -1394,10 +1280,11 @@ fn fit_param(
     pc
 }
 
-/// The build half of [`fit_param`]: key layout, key column (through the
-/// shared arena and cache), and vote tables for an already-selected
-/// dependent set. The incremental fit calls this directly when a delta
-/// batch changed a parameter's dependency selection.
+/// The build half of [`fit_param`]: key layout, then key column (through
+/// the shared arena and cache) and vote tables ([`build_tables`]) for an
+/// already-selected dependent set. The incremental fit calls this
+/// directly when a delta batch changed a parameter's dependency
+/// selection.
 fn fit_param_with_dependent(
     snapshot: &NetworkSnapshot,
     arena: &AttrArena,
@@ -1419,46 +1306,11 @@ fn fit_param_with_dependent(
         param,
         dependent,
         codec,
-        tables: VoteTables::new(),
+        tables: VoteTables::default(),
         default: def.default,
         keys: KeyColumn::None,
     };
-    // Only the full-key tables are built: prefix (backoff) groups are
-    // contiguous runs of the frozen sorted groups and aggregate on
-    // demand, so materializing a table per observation per level — the
-    // paper-scale RSS cliff — buys nothing.
-    //
-    // Column over the scope's index window only: the tables read every
-    // in-scope target off it, and local voting packs the rare
-    // out-of-window neighbor on demand. Built from the shared arena
-    // columns — or shared outright with another parameter that selected
-    // the same dependent set over the same window.
-    let window = match def.kind {
-        ParamKind::Singular => scope.carrier_window(),
-        ParamKind::Pairwise => scope.pair_window(),
-    };
-    let w = cache.get_or_build(def.kind, &pc.dependent, window.clone(), || {
-        ArenaPacker::new(arena, &pc.codec, &pc.dependent, def.kind).column(window)
-    });
-    match def.kind {
-        ParamKind::Singular => {
-            for &c in &scope.carriers {
-                pc.tables
-                    .add_packed(w.col[c.index() - w.base], snapshot.config.value(param, c));
-            }
-            pc.keys = KeyColumn::Carrier(w);
-        }
-        ParamKind::Pairwise => {
-            for &q in &scope.pairs {
-                pc.tables.add_packed(
-                    w.col[q as usize - w.base],
-                    snapshot.config.pair_value(param, q),
-                );
-            }
-            pc.keys = KeyColumn::Pair(w);
-        }
-    }
-    pc.tables.freeze();
+    build_tables(&mut pc, def.kind, snapshot, arena, cache, scope, None);
     pc
 }
 

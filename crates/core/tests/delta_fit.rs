@@ -2,17 +2,20 @@
 //! with [`CfModel::apply_delta`] must serialize **byte-identically** to a
 //! full refit of the post-batch snapshot — same dependency selections,
 //! same sorted vote groups, same defaults. The suite drives the streaming
-//! generator batch-by-batch (adds, pockets, retunes) and layers synthetic
+//! generator batch-by-batch (adds, pockets, retunes), layers synthetic
 //! removal / edge-add / retune batches on top, at whole-network and
-//! per-market scopes.
+//! per-market scopes, and throws random adversarial batches at a fitted
+//! two-market fleet.
 
 use auric_core::{CfConfig, CfModel, DeltaApply, Scope, SharedKeyColumns};
 use auric_model::{
-    apply_fleet_deltas, empty_snapshot, AppliedBatch, AttrArena, CarrierId, DeltaSlot, FleetDelta,
-    MarketId, NetworkSnapshot, ParamKind, Provenance,
+    apply_fleet_deltas, empty_snapshot, AppliedBatch, AttrArena, AttrId, CarrierId, DeltaError,
+    DeltaSlot, FleetDelta, MarketId, NetworkSnapshot, ParamKind, Provenance,
 };
-use auric_netgen::{stream, NetScale, TuningKnobs};
-use std::sync::Arc;
+use auric_netgen::{generate, stream, NetScale, TuningKnobs};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 fn json(model: &CfModel) -> String {
     serde_json::to_string(model).expect("model serializes")
@@ -468,4 +471,288 @@ fn pure_retune_batches_only_touch_named_parameters() {
         "a single retune must not disturb other parameters"
     );
     assert_eq!(json(&model), json(&full_fit(&snapshot, &scope)));
+}
+
+/// A fitted two-market fleet and a model per scope — [`Scope::whole`],
+/// then each market's — for the adversarial batches to start from.
+struct Fitted {
+    snapshot: NetworkSnapshot,
+    arena: AttrArena,
+    models: Vec<CfModel>,
+}
+
+fn scopes(snapshot: &NetworkSnapshot) -> Vec<Scope> {
+    std::iter::once(Scope::whole(snapshot))
+        .chain(
+            snapshot
+                .markets
+                .iter()
+                .map(|m| Scope::market(snapshot, m.id)),
+        )
+        .collect()
+}
+
+fn two_market_fleet() -> &'static Fitted {
+    static FITTED: OnceLock<Fitted> = OnceLock::new();
+    FITTED.get_or_init(|| {
+        let scale = NetScale {
+            n_markets: 2,
+            enbs_per_market: 4,
+            seed: 31,
+        };
+        let snapshot = generate(&scale, &TuningKnobs::default()).snapshot;
+        let tail = CarrierId(snapshot.n_carriers() as u32 - 1);
+        assert!(
+            !snapshot.x2.neighbors(tail).is_empty(),
+            "the tail carrier must have X2 edges for removals to drop pairs"
+        );
+        let arena = AttrArena::from_snapshot(&snapshot);
+        let models = scopes(&snapshot)
+            .iter()
+            .map(|sc| full_fit(&snapshot, sc))
+            .collect();
+        Fitted {
+            snapshot,
+            arena,
+            models,
+        }
+    })
+}
+
+/// The fleet as a batch under construction leaves it: carrier count,
+/// undirected edges `(lo, hi)`, and whether a removal already happened
+/// (after which `apply_fleet_deltas` refuses adds).
+struct Sketch {
+    n: u32,
+    edges: BTreeSet<(CarrierId, CarrierId)>,
+    removed: bool,
+}
+
+impl Sketch {
+    fn edge(a: CarrierId, b: CarrierId) -> (CarrierId, CarrierId) {
+        (a.min(b), a.max(b))
+    }
+
+    fn tail(&self) -> CarrierId {
+        CarrierId(self.n - 1)
+    }
+
+    fn remove_tail(&mut self, out: &mut Vec<FleetDelta>) {
+        let tail = self.tail();
+        self.edges.retain(|&(a, b)| a != tail && b != tail);
+        self.n -= 1;
+        self.removed = true;
+        out.push(FleetDelta::RemoveCarrier { id: tail });
+    }
+}
+
+/// Turns raw draws into one event batch against `base`. Ops: 0 add a
+/// carrier to either market (attributes and base values perturbed), 1
+/// remove the tail carrier, 2 add an X2 edge (possibly across markets),
+/// 3 retune a carrier slot, 4 and 7 retune a pair slot, 5 retune then
+/// remove the tail, 6 add a carrier, give it an edge, remove it again, 8
+/// remove the tail and add as many edges as it had — the pair count
+/// stays, but pairs move inside an unchanged window.
+fn adversarial_batch(base: &NetworkSnapshot, ops: &[(u8, u32, u32, u16)]) -> Vec<FleetDelta> {
+    let catalog = &base.catalog;
+    let singular: Vec<_> = catalog.singular_ids().collect();
+    let pairwise: Vec<_> = catalog.pairwise_ids().collect();
+    let value = |p, v: u16| v % catalog.def(p).range.n_values() as u16;
+    let why = Provenance::Noise;
+    let mut sketch = Sketch {
+        n: base.n_carriers() as u32,
+        edges: base
+            .x2
+            .pairs()
+            .map(|(_, j, k)| Sketch::edge(j, k))
+            .collect(),
+        removed: false,
+    };
+    let mut out = Vec::new();
+    // Carriers added by this batch are clones of `base` carriers, so
+    // every template is read from the pre-batch fleet.
+    let add_carrier = |sketch: &mut Sketch, out: &mut Vec<FleetDelta>, r1: u32, r2: u32, v: u16| {
+        let m = MarketId((r1 % base.markets.len() as u32) as u16);
+        let members = base.carriers_in_market(m);
+        let mut carrier = base.carrier(members[r2 as usize % members.len()]).clone();
+        carrier.id = CarrierId(sketch.n);
+        let donor = base.carrier(CarrierId(r2 % base.n_carriers() as u32));
+        let a = AttrId((r1 / 2 % carrier.attrs.len() as u32) as u8);
+        carrier.attrs.set(a, donor.attrs.get(a));
+        let mut values: Vec<_> = singular
+            .iter()
+            .map(|&p| base.config.value(p, donor.id))
+            .collect();
+        let i = v as usize % values.len();
+        values[i] = value(singular[i], v);
+        sketch.n += 1;
+        out.push(FleetDelta::AddCarrier {
+            carrier,
+            base: values,
+        });
+    };
+    let add_edge =
+        |sketch: &mut Sketch, out: &mut Vec<FleetDelta>, a: CarrierId, r: u32, v: u16| {
+            let free: Vec<CarrierId> = (0..sketch.n)
+                .map(CarrierId)
+                .filter(|&b| b != a && !sketch.edges.contains(&Sketch::edge(a, b)))
+                .collect();
+            if free.is_empty() {
+                return;
+            }
+            let b = free[r as usize % free.len()];
+            sketch.edges.insert(Sketch::edge(a, b));
+            let base_values = |shift: u16| -> Vec<_> {
+                pairwise
+                    .iter()
+                    .map(|&p| value(p, v.wrapping_add(shift)))
+                    .collect()
+            };
+            out.push(FleetDelta::AddX2Edge {
+                a,
+                b,
+                base_ab: base_values(0),
+                base_ba: base_values(1),
+            });
+        };
+    for &(op, r1, r2, v) in ops {
+        match op {
+            0 | 6 if sketch.removed => {}
+            0 => add_carrier(&mut sketch, &mut out, r1, r2, v),
+            1 | 5 | 8 if sketch.n <= 2 => {}
+            1 => sketch.remove_tail(&mut out),
+            2 => {
+                let a = CarrierId(r1 % sketch.n);
+                add_edge(&mut sketch, &mut out, a, r2, v)
+            }
+            3 => {
+                let p = singular[r1 as usize % singular.len()];
+                out.push(FleetDelta::Retune {
+                    param: p,
+                    slot: DeltaSlot::Carrier(CarrierId(r2 % sketch.n)),
+                    value: value(p, v),
+                    why,
+                });
+            }
+            4 | 7 => {
+                let edges: Vec<_> = sketch.edges.iter().copied().collect();
+                let (a, b) = edges[r2 as usize % edges.len()];
+                let (src, dst) = if v % 2 == 0 { (a, b) } else { (b, a) };
+                let p = pairwise[r1 as usize % pairwise.len()];
+                out.push(FleetDelta::Retune {
+                    param: p,
+                    slot: DeltaSlot::Pair(src, dst),
+                    value: value(p, v / 2),
+                    why,
+                });
+            }
+            5 => {
+                let p = singular[r1 as usize % singular.len()];
+                out.push(FleetDelta::Retune {
+                    param: p,
+                    slot: DeltaSlot::Carrier(sketch.tail()),
+                    value: value(p, v),
+                    why,
+                });
+                sketch.remove_tail(&mut out);
+            }
+            6 => {
+                add_carrier(&mut sketch, &mut out, r1, r2, v);
+                let born = sketch.tail();
+                add_edge(&mut sketch, &mut out, born, r1, v);
+                sketch.remove_tail(&mut out);
+            }
+            _ => {
+                let tail = sketch.tail();
+                let degree = sketch
+                    .edges
+                    .iter()
+                    .filter(|&&(a, b)| a == tail || b == tail)
+                    .count() as u32;
+                sketch.remove_tail(&mut out);
+                for k in 0..degree {
+                    let a = CarrierId((r1 + k) % sketch.n);
+                    add_edge(&mut sketch, &mut out, a, r2 + k, v);
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random batches the stream generator would never emit — adds into
+    /// either market, tail removals that drop X2 pairs, cross-market
+    /// edges, carrier and pair retunes, retune-then-remove and
+    /// add-then-remove inside one batch — rolled into the whole-fleet
+    /// model and each market's model must equal a full refit over the
+    /// same scope: wire JSON and key columns.
+    #[test]
+    fn adversarial_batches_match_scoped_refits(
+        ops in collection::vec((0u8..9, 0u32..1_000_000, 0u32..1_000_000, 0u16..1_000), 1..10),
+    ) {
+        let fitted = two_market_fleet();
+        let batch = adversarial_batch(&fitted.snapshot, &ops);
+        let mut snapshot = fitted.snapshot.clone();
+        // A batch the fleet refuses leaves nothing to roll forward.
+        let Ok(digest) = apply_fleet_deltas(&mut snapshot, &batch) else {
+            return Ok(());
+        };
+        let mut arena = fitted.arena.clone();
+        arena.append(&snapshot);
+        let befores = scopes(&fitted.snapshot);
+        let afters = scopes(&snapshot);
+        for (si, model) in fitted.models.iter().enumerate() {
+            let mut model = model.clone();
+            let report = model.apply_delta(&DeltaApply {
+                snapshot: &snapshot,
+                arena: &arena,
+                scope_before: &befores[si],
+                scope_after: &afters[si],
+                batch: &digest,
+                key_cache: None,
+            });
+            prop_assert_eq!(
+                report.params_patched + report.params_rebuilt + report.params_untouched,
+                snapshot.catalog.len()
+            );
+            let refit = full_fit(&snapshot, &afters[si]);
+            prop_assert_eq!(json(&model), json(&refit), "scope {}: tables diverge", si);
+            for (a, b) in model.params().iter().zip(refit.params()) {
+                prop_assert_eq!(
+                    (a.carrier_keys(), a.pair_keys()),
+                    (b.carrier_keys(), b.pair_keys()),
+                    "scope {}, param {:?}: key column diverges",
+                    si,
+                    a.param
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn duplicate_edges_are_refused() {
+    let fitted = two_market_fleet();
+    let mut snapshot = fitted.snapshot.clone();
+    let (_, a, b) = snapshot.x2.pairs().next().expect("fleet has pairs");
+    let base: Vec<_> = snapshot
+        .catalog
+        .pairwise_ids()
+        .map(|p| snapshot.config.pair_value(p, 0))
+        .collect();
+    assert_eq!(
+        apply_fleet_deltas(
+            &mut snapshot,
+            &[FleetDelta::AddX2Edge {
+                a: b,
+                b: a,
+                base_ab: base.clone(),
+                base_ba: base,
+            }]
+        ),
+        Err(DeltaError::BadEdge(b, a))
+    );
 }

@@ -192,9 +192,9 @@ pub fn run_global_learners_filtered(
         .collect()
 }
 
-/// Table 4 — average accuracy of the five global learners per market.
-pub fn table4(opts: &RunOptions) -> ExpOutput {
-    let results = run_global_learners(opts);
+/// Table 4 — average accuracy of the five global learners per market,
+/// rendered from [`run_global_learners`]'s results.
+pub fn table4(results: &[MarketResult]) -> ExpOutput {
     let mut table = TextTable::new(
         std::iter::once("".to_string())
             .chain(LEARNERS.iter().map(|s| s.to_string()))
@@ -202,7 +202,7 @@ pub fn table4(opts: &RunOptions) -> ExpOutput {
     );
     let mut json_rows = Vec::new();
     let mut all = [0.0; 5];
-    for r in &results {
+    for r in results {
         let acc = r.macro_accuracy();
         table.row(
             std::iter::once(r.market_name.clone())
@@ -252,15 +252,15 @@ pub fn table4(opts: &RunOptions) -> ExpOutput {
 }
 
 /// Fig. 10 — per-parameter accuracy of the five global learners per
-/// market, reverse-sorted by variability.
-pub fn fig10(opts: &RunOptions) -> ExpOutput {
-    let results = run_global_learners(opts);
+/// market, reverse-sorted by variability, rendered from
+/// [`run_global_learners`]'s results.
+pub fn fig10(results: &[MarketResult]) -> ExpOutput {
     let mut text = String::from(
         "Fig. 10 — per-parameter accuracy of five global learners, by market\n\
          (paper: accuracy drops as variability rises; learners correlate)\n\n",
     );
     let mut json_markets = Vec::new();
-    for r in &results {
+    for r in results {
         let mut rows = r.rows.clone();
         rows.sort_by(|a, b| b.distinct.cmp(&a.distinct).then(a.name.cmp(&b.name)));
         let mut table = TextTable::new(vec![

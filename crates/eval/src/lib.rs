@@ -37,6 +37,7 @@ pub mod render;
 
 use auric_netgen::{NetScale, TuningKnobs};
 use auric_obs::Recorder;
+use experiments::global_learners::{self, MarketResult};
 use serde::Serialize;
 
 /// Options shared by every experiment run.
@@ -103,10 +104,45 @@ pub const EXPERIMENTS: [&str; 18] = [
 /// # Errors
 /// Returns an error string for unknown names.
 pub fn run_experiment(name: &str, opts: &RunOptions) -> Result<ExpOutput, String> {
-    let span = opts.obs.span(&format!("exp.{name}"));
-    let out = dispatch(name, opts);
-    span.close();
-    out
+    Runner::default().run(name, opts)
+}
+
+/// Runs experiments one after another, computing what several of them
+/// render only once: `table4` and `fig10` both render the global
+/// learners' cross-validation ([`run_global_learners`]), which dominates
+/// an `all` run, so the second of the two reuses the first's results.
+/// Every call must pass the same options, the obs recorder aside; the
+/// obs report of the second experiment then omits the shared run.
+///
+/// [`run_global_learners`]: global_learners::run_global_learners
+#[derive(Default)]
+pub struct Runner {
+    global_learners: Option<Vec<MarketResult>>,
+}
+
+impl Runner {
+    /// Runs one experiment by name.
+    ///
+    /// # Errors
+    /// Returns an error string for unknown names.
+    pub fn run(&mut self, name: &str, opts: &RunOptions) -> Result<ExpOutput, String> {
+        let span = opts.obs.span(&format!("exp.{name}"));
+        let out = match name {
+            "table4" | "fig10" => {
+                let results = self
+                    .global_learners
+                    .get_or_insert_with(|| global_learners::run_global_learners(opts));
+                Ok(if name == "table4" {
+                    global_learners::table4(results)
+                } else {
+                    global_learners::fig10(results)
+                })
+            }
+            _ => dispatch(name, opts),
+        };
+        span.close();
+        out
+    }
 }
 
 fn dispatch(name: &str, opts: &RunOptions) -> Result<ExpOutput, String> {
@@ -115,8 +151,6 @@ fn dispatch(name: &str, opts: &RunOptions) -> Result<ExpOutput, String> {
         "fig2" => Ok(experiments::variability::fig2(opts)),
         "fig3" => Ok(experiments::variability::fig3(opts)),
         "fig4" => Ok(experiments::variability::fig4(opts)),
-        "table4" => Ok(experiments::global_learners::table4(opts)),
-        "fig10" => Ok(experiments::global_learners::fig10(opts)),
         "global-vs-local" => Ok(experiments::local_learner::global_vs_local(opts)),
         "fig11" => Ok(experiments::local_learner::fig11(opts)),
         "fig12" => Ok(experiments::mismatch_labels::fig12(opts)),

@@ -13,7 +13,7 @@
 //! no `--json` directory is given); two runs at the same scale and seed
 //! produce byte-identical obs reports.
 
-use auric_eval::{run_experiment, RunOptions, EXPERIMENTS};
+use auric_eval::{RunOptions, Runner, EXPERIMENTS};
 use auric_netgen::NetScale;
 use auric_obs::Recorder;
 use std::process::ExitCode;
@@ -99,6 +99,7 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut runner = Runner::default();
     for name in &names {
         let started = std::time::Instant::now();
         // A fresh recorder per experiment keeps each obs report
@@ -106,7 +107,7 @@ fn main() -> ExitCode {
         if with_obs {
             opts.obs = Recorder::deterministic();
         }
-        match run_experiment(name, &opts) {
+        match runner.run(name, &opts) {
             Ok(out) => {
                 println!(
                     "==> {} ({:.1}s)\n",

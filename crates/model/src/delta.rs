@@ -9,11 +9,11 @@
 //!
 //! [`apply_fleet_deltas`] folds one *batch* of events into a
 //! [`NetworkSnapshot`] and returns an [`AppliedBatch`] — the digest the
-//! incremental fit needs (which slots changed, from which old values,
-//! how the directed pair list re-indexed). Batches are the atomicity
-//! unit: within a batch the X2 CSR is rebuilt lazily (once per run of
-//! edge adds, not once per edge), and the snapshot is only guaranteed
-//! self-consistent at batch boundaries.
+//! incremental fit needs (which targets came and went, which pre-batch
+//! slots were retuned, how the directed pair list re-indexed). Batches
+//! are the atomicity unit: within a batch the X2 CSR is rebuilt lazily
+//! (once per run of edge adds, not once per edge), and the snapshot is
+//! only guaranteed self-consistent at batch boundaries.
 //!
 //! ## Addressing
 //!
@@ -25,7 +25,6 @@
 
 use std::collections::HashSet;
 
-use crate::attrs::AttrVec;
 use crate::carrier::{Carrier, Enodeb, Market, Timezone};
 use crate::config::Provenance;
 use crate::ids::{CarrierId, MarketId, ParamId};
@@ -80,37 +79,30 @@ pub enum FleetDelta {
     },
 }
 
-/// One retune as actually applied: the old value is captured at write
-/// time so the incremental fit can subtract the stale vote.
+/// One retune of a slot that existed before the batch: the incremental
+/// fit reads it to tell which parameters the batch touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AppliedRetune {
     pub param: ParamId,
     pub slot: DeltaSlot,
-    pub old: ValueIdx,
-    pub new: ValueIdx,
 }
 
-/// One directed pair that left with a removed carrier: everything the
-/// incremental fit needs to subtract its votes after the endpoints are
-/// gone from the snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One pre-batch directed pair that left with a removed carrier, by its
+/// endpoints (its pair index is gone with it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RemovedPair {
     pub src: CarrierId,
     pub dst: CarrierId,
-    pub src_attrs: AttrVec,
-    pub dst_attrs: AttrVec,
-    /// `(param, value)` for every pair-wise parameter, in catalog order.
-    pub values: Vec<(ParamId, ValueIdx)>,
 }
 
-/// A removed carrier's final state, recorded before removal.
+/// A pre-batch carrier the batch removed. Its id lies past the post-batch
+/// fleet (removals are LIFO), so only the pre-batch scope knows whether
+/// it was a member.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemovedCarrier {
     pub id: CarrierId,
-    pub attrs: AttrVec,
-    /// `(param, value)` for every singular parameter, in catalog order.
-    pub values: Vec<(ParamId, ValueIdx)>,
-    /// Every directed pair that involved this carrier, either side.
+    /// Every pre-batch directed pair that involved this carrier, either
+    /// side.
     pub pairs: Vec<RemovedPair>,
 }
 
@@ -124,9 +116,8 @@ pub struct AppliedBatch {
     pub added_carriers: Vec<CarrierId>,
     /// Pre-batch carriers removed (LIFO), most recent last. A carrier
     /// both added and removed inside the batch nets out of the digest
-    /// entirely — the fitted model never saw it, so there is nothing to
-    /// subtract. The same netting applies to [`RemovedPair`]s of pairs
-    /// born inside the batch.
+    /// entirely — the fitted model never saw it. The same netting applies
+    /// to [`RemovedPair`]s of pairs born inside the batch.
     pub removed: Vec<RemovedCarrier>,
     /// Old pair index → new pair index across the whole batch, when the
     /// directed pair list changed shape (`None` entries are pairs that
@@ -405,7 +396,7 @@ pub fn apply_fleet_deltas(
                 value,
                 why,
             } => {
-                let old = match slot {
+                let born_this_batch = match slot {
                     DeltaSlot::Carrier(c) => {
                         if c.index() >= snapshot.carriers.len() {
                             return Err(DeltaError::UnknownRef(format!("{c}")));
@@ -413,12 +404,8 @@ pub fn apply_fleet_deltas(
                         if snapshot.config.kind(*param) != ParamKind::Singular {
                             return Err(DeltaError::KindMismatch(*param));
                         }
-                        let old = snapshot.config.value(*param, *c);
                         snapshot.config.set_value(*param, *c, *value, *why);
-                        if st.added.contains(c) {
-                            continue; // folded into the add
-                        }
-                        old
+                        st.added.contains(c)
                     }
                     DeltaSlot::Pair(a, b) => {
                         flush_pairs(snapshot, &mut st)?;
@@ -432,21 +419,19 @@ pub fn apply_fleet_deltas(
                             .x2
                             .pair_idx(*a, *b)
                             .ok_or(DeltaError::UnknownPair(*a, *b))?;
-                        let old = snapshot.config.pair_value(*param, q);
                         snapshot.config.set_pair_value(*param, q, *value, *why);
                         let norm = if a < b { (*a, *b) } else { (*b, *a) };
-                        if st.batch_edges.contains(&norm) {
-                            continue; // the pair is new this batch
-                        }
-                        old
+                        st.batch_edges.contains(&norm)
                     }
                 };
-                out.retunes.push(AppliedRetune {
-                    param: *param,
-                    slot: *slot,
-                    old,
-                    new: *value,
-                });
+                // A slot the batch created folds its retunes into the add:
+                // the slot's post-batch value covers them.
+                if !born_this_batch {
+                    out.retunes.push(AppliedRetune {
+                        param: *param,
+                        slot: *slot,
+                    });
+                }
             }
             FleetDelta::RemoveCarrier { id } => {
                 flush_pairs(snapshot, &mut st)?;
@@ -501,8 +486,8 @@ fn flush_pairs(snapshot: &mut NetworkSnapshot, st: &mut BatchState) -> Result<()
     Ok(())
 }
 
-/// LIFO carrier removal: records the carrier's final state (attributes,
-/// values, every directed pair either side), then shrinks the snapshot.
+/// LIFO carrier removal: records the carrier and every pre-batch directed
+/// pair either side, then shrinks the snapshot.
 fn remove_carrier(
     snapshot: &mut NetworkSnapshot,
     st: &mut BatchState,
@@ -517,44 +502,23 @@ fn remove_carrier(
     if id != last {
         return Err(DeltaError::NotLastCarrier(id));
     }
-    // A carrier (or pair) born inside this same batch has no pre-batch
-    // observations for the incremental fit to subtract, so the digest
-    // nets it out instead of recording a removal.
+    // A carrier (or pair) born inside this same batch was never seen by
+    // the fitted model, so the digest nets it out instead of recording a
+    // removal.
     let born_this_batch = st.added.remove(&id);
-    let pairwise: Vec<ParamId> = snapshot.catalog.pairwise_ids().collect();
-    let mut pairs = Vec::new();
-    if !born_this_batch {
-        for (p, j, k) in snapshot.x2.pairs() {
-            if j != id && k != id {
-                continue;
-            }
-            let norm = if j < k { (j, k) } else { (k, j) };
-            if st.batch_edges.contains(&norm) {
-                continue; // the pair was born this batch too
-            }
-            pairs.push(RemovedPair {
-                src: j,
-                dst: k,
-                src_attrs: snapshot.carriers[j.index()].attrs.clone(),
-                dst_attrs: snapshot.carriers[k.index()].attrs.clone(),
-                values: pairwise
-                    .iter()
-                    .map(|&pid| (pid, snapshot.config.pair_value(pid, p)))
-                    .collect(),
-            });
-        }
-    }
-    let carrier = snapshot.carriers.pop().expect("checked non-empty");
     let removed = (!born_this_batch).then(|| RemovedCarrier {
         id,
-        attrs: carrier.attrs.clone(),
-        values: snapshot
-            .catalog
-            .singular_ids()
-            .map(|pid| (pid, snapshot.config.value(pid, id)))
+        pairs: snapshot
+            .x2
+            .pairs()
+            .filter(|&(_, j, k)| {
+                let norm = if j < k { (j, k) } else { (k, j) };
+                (j == id || k == id) && !st.batch_edges.contains(&norm)
+            })
+            .map(|(_, src, dst)| RemovedPair { src, dst })
             .collect(),
-        pairs,
     });
+    let carrier = snapshot.carriers.pop().expect("checked non-empty");
     // Shrink the graph: every surviving undirected edge, one fewer node.
     let edges: Vec<(CarrierId, CarrierId)> = undirected_edges(&snapshot.x2)
         .into_iter()
@@ -603,7 +567,7 @@ fn undirected_edges(x2: &X2Graph) -> Vec<(CarrierId, CarrierId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::{AttrDef, AttributeSchema};
+    use crate::attrs::{AttrDef, AttrVec, AttributeSchema};
     use crate::carrier::{Band, Morphology, Point, Vendor};
     use crate::ids::EnodebId;
     use crate::params::{ParamCatalog, ParamDef, ParamFunction, ValueRange};
@@ -730,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn retune_on_existing_slot_captures_old_value() {
+    fn retunes_on_existing_slots_are_recorded_in_event_order() {
         let (mut snap, _) = build_market();
         let applied = apply_fleet_deltas(
             &mut snap,
@@ -751,11 +715,19 @@ mod tests {
         )
         .unwrap();
         assert!(!applied.structural());
-        assert_eq!(applied.retunes.len(), 2);
-        assert_eq!(applied.retunes[0].old, 7);
-        assert_eq!(applied.retunes[0].new, 1);
-        assert_eq!(applied.retunes[1].old, 1);
-        assert_eq!(applied.retunes[1].new, 8);
+        assert_eq!(
+            applied.retunes,
+            vec![
+                AppliedRetune {
+                    param: ParamId(0),
+                    slot: DeltaSlot::Carrier(CarrierId(2)),
+                },
+                AppliedRetune {
+                    param: ParamId(1),
+                    slot: DeltaSlot::Pair(CarrierId(1), CarrierId(2)),
+                },
+            ]
+        );
         assert_eq!(snap.config.value(ParamId(0), CarrierId(2)), 1);
         assert_eq!(
             snap.config.provenance(ParamId(0), CarrierId(2)),
@@ -792,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn lifo_remove_records_final_state() {
+    fn lifo_remove_records_the_carrier_and_its_pairs() {
         let (mut snap, _) = build_market();
         assert_eq!(
             apply_fleet_deltas(&mut snap, &[FleetDelta::RemoveCarrier { id: CarrierId(0) }]),
@@ -807,15 +779,20 @@ mod tests {
         assert_eq!(snap.x2.n_pairs(), 2, "pairs touching carrier 2 left");
         let removed = &applied.removed[0];
         assert_eq!(removed.id, CarrierId(2));
-        assert_eq!(removed.values, vec![(ParamId(0), 7)]);
-        assert_eq!(removed.pairs.len(), 2, "both directions of edge 1-2");
+        let mut ends: Vec<_> = removed.pairs.iter().map(|rp| (rp.src, rp.dst)).collect();
+        ends.sort();
+        assert_eq!(
+            ends,
+            vec![(CarrierId(1), CarrierId(2)), (CarrierId(2), CarrierId(1))],
+            "both directions of edge 1-2"
+        );
         assert!(applied.pair_remap.is_some());
         assert!(applied.added_pairs(snap.x2.n_pairs()).is_empty());
     }
 
     /// Entities born and destroyed inside one batch net out of the
-    /// digest: the incremental fit has nothing pre-batch to subtract, so
-    /// recording them would make it remove observations never added.
+    /// digest: the fitted model never saw them, so recording them would
+    /// count targets it never held as removed.
     #[test]
     fn in_batch_add_then_remove_nets_out_of_the_digest() {
         let (mut snap, _) = build_market();

@@ -154,11 +154,8 @@ impl Service {
     /// Streaming ingestion: rolls **every** shard forward over one
     /// applied delta batch against the post-batch snapshot, swapping
     /// each shard's `(snapshot, model)` pair under its epoch/cache
-    /// invariants. Shards share one key-column cache for the batch; each
-    /// shard's columns cover its own market's window, so sharing happens
-    /// between parameters with the same layout inside a market. Each
-    /// shard's seeded refit fault stream still applies — a shard that
-    /// draws a failure, or that a concurrent refit overtook
+    /// invariants. Each shard's seeded refit fault stream still applies —
+    /// a shard that draws a failure, or that a concurrent refit overtook
     /// ([`RefitError::Superseded`]), keeps its current pair and reports
     /// the error in its result slot.
     pub fn refit_delta(
@@ -168,19 +165,12 @@ impl Service {
         batch: &auric_model::AppliedBatch,
         now_us: u64,
     ) -> Vec<(MarketId, Result<auric_core::DeltaFitReport, RefitError>)> {
-        let cache = auric_core::SharedKeyColumns::new();
         self.shards
             .iter()
             .map(|s| {
                 (
                     s.market(),
-                    s.refit_delta(
-                        Arc::clone(snapshot),
-                        arena,
-                        batch,
-                        Some(cache.clone()),
-                        now_us,
-                    ),
+                    s.refit_delta(Arc::clone(snapshot), arena, batch, now_us),
                 )
             })
             .collect()

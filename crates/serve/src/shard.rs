@@ -36,9 +36,7 @@ use std::sync::{Arc, Mutex};
 use auric_core::recommend::{
     recommend_pairwise_keyed, recommend_singular, recommend_singular_keyed, ConfigRecommendation,
 };
-use auric_core::{
-    CfModel, DeltaApply, DeltaFitReport, Recommendation, Scope, SharedKeyColumns, Side,
-};
+use auric_core::{CfModel, DeltaApply, DeltaFitReport, Recommendation, Scope, Side};
 use auric_kpi::report::KpiReport;
 use auric_model::{AppliedBatch, AttrArena, MarketId, NetworkSnapshot, ParamDef, ParamKind};
 use auric_obs::Recorder;
@@ -854,11 +852,10 @@ impl Shard {
         snapshot: Arc<NetworkSnapshot>,
         arena: &AttrArena,
         batch: &AppliedBatch,
-        key_cache: Option<SharedKeyColumns>,
         _now_us: u64,
     ) -> Result<DeltaFitReport, RefitError> {
         let base = Self::pinned(&self.lock());
-        let (model, report) = self.roll_forward(&base, &snapshot, arena, batch, key_cache);
+        let (model, report) = self.roll_forward(&base, &snapshot, arena, batch);
         self.swap_delta(base.epoch, snapshot, model)?;
         Ok(report)
     }
@@ -871,7 +868,6 @@ impl Shard {
         snapshot: &NetworkSnapshot,
         arena: &AttrArena,
         batch: &AppliedBatch,
-        key_cache: Option<SharedKeyColumns>,
     ) -> (CfModel, DeltaFitReport) {
         let scope_before = Scope::market(&base.snapshot, self.market);
         let scope_after = Scope::market(snapshot, self.market);
@@ -882,7 +878,7 @@ impl Shard {
             scope_before: &scope_before,
             scope_after: &scope_after,
             batch,
-            key_cache,
+            key_cache: None,
         });
         (model, report)
     }
@@ -1232,7 +1228,7 @@ mod tests {
         arena.append(&cur);
         let post = Arc::new(cur.clone());
         let base = Shard::pinned(&shard.lock());
-        let (rolled, _) = shard.roll_forward(&base, &post, &arena, &digest, None);
+        let (rolled, _) = shard.roll_forward(&base, &post, &arena, &digest);
 
         // A plain refit lands between the base read and the swap.
         shard.refit(fit(&pre), 0).expect("faultless refit");
@@ -1263,7 +1259,7 @@ mod tests {
 
         // Rolled forward from the current pair, the same batch lands.
         shard
-            .refit_delta(Arc::clone(&post), &arena, &digest, None, 0)
+            .refit_delta(Arc::clone(&post), &arena, &digest, 0)
             .expect("faultless delta refit");
         assert!(Arc::ptr_eq(&shard.snapshot(), &post));
         assert_eq!(

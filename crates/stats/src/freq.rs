@@ -14,11 +14,12 @@ use std::collections::HashMap;
 /// dominate its RSS.
 const INLINE_CAP: usize = 3;
 
-/// A multiset of `u16` values with O(1) add/remove and majority queries.
+/// A multiset of `u16` values with O(1) add and majority queries.
 ///
 /// The collaborative-filtering voter keeps one of these per carrier group;
-/// leave-one-out evaluation removes the probe carrier's own value before
-/// asking for the winner and re-adds it afterwards.
+/// leave-one-out evaluation excludes the probe carrier's own value inside
+/// the query ([`FreqTable::majority_with_support_excluding`]) instead of
+/// mutating the table.
 ///
 /// Counts for up to [`INLINE_CAP`] distinct values live inline (32 bytes,
 /// no heap); tables wider than that spill to a boxed map and stay spilled.
@@ -112,40 +113,6 @@ impl FreqTable {
             };
             *map.entry(v).or_insert(0) += 1;
         }
-    }
-
-    /// Removes one observation of `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` has no remaining observations — removing something
-    /// never added is always a logic error in the caller.
-    pub fn remove(&mut self, v: u16) {
-        match &mut self.counts {
-            Counts::Small { len, vals, counts } => {
-                let n = *len as usize;
-                let i = vals[..n]
-                    .binary_search(&v)
-                    .unwrap_or_else(|_| panic!("removing value {v} that was never added"));
-                counts[i] -= 1;
-                if counts[i] == 0 {
-                    for j in i..n - 1 {
-                        vals[j] = vals[j + 1];
-                        counts[j] = counts[j + 1];
-                    }
-                    *len = (n - 1) as u8;
-                }
-            }
-            Counts::Large(map) => {
-                let c = map
-                    .get_mut(&v)
-                    .unwrap_or_else(|| panic!("removing value {v} that was never added"));
-                *c -= 1;
-                if *c == 0 {
-                    map.remove(&v);
-                }
-            }
-        }
-        self.total -= 1;
     }
 
     /// Moves inline counts to the heap map. No-op when already spilled.
@@ -450,25 +417,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_remove_round_trip() {
-        let mut t = FreqTable::from_values([3, 3, 5]);
-        assert_eq!(t.total(), 3);
-        assert_eq!(t.count(3), 2);
-        t.remove(3);
-        assert_eq!(t.count(3), 1);
-        t.remove(3);
-        assert_eq!(t.count(3), 0);
-        assert_eq!(t.distinct(), 1);
-        assert_eq!(t.total(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "never added")]
-    fn remove_unknown_panics() {
-        FreqTable::new().remove(9);
-    }
-
-    #[test]
     fn merge_equals_repeated_add_across_the_spill_boundary() {
         // Merging must match adding the other table's observations one by
         // one — including when the union's distinct count crosses the
@@ -557,23 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn leave_one_out_pattern() {
-        // The voter's usage pattern: remove own value, query, re-add.
-        let mut t = FreqTable::from_values([5, 5, 5, 9]);
-        t.remove(9);
-        assert_eq!(
-            t.majority_with_support_excluding(None, 0.75),
-            Some((5, 3, 3))
-        );
-        t.add(9);
-        t.remove(5);
-        // Remaining 5,5,9 → 2/3 support < 75%.
-        assert_eq!(t.majority_with_support_excluding(None, 0.75), None);
-        t.add(5);
-        assert_eq!(t.total(), 4);
-    }
-
-    #[test]
     fn excluding_matches_mutating_leave_one_out() {
         let t = FreqTable::from_values([5, 5, 5, 9]);
         // Excluding the odd one out: 5 has 3/3 support.
@@ -630,32 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn spilled_and_inline_tables_with_equal_contents_are_equal() {
-        // Spill by exceeding the cap, then remove back under it: the table
-        // stays spilled but must equal the never-spilled twin.
-        let mut spilled = FreqTable::from_values([1, 1, 2, 3, 4]);
-        spilled.remove(4);
-        let inline = FreqTable::from_values([3, 2, 1, 1]);
-        assert_eq!(spilled, inline);
-        assert_eq!(inline, spilled);
-        spilled.add(2);
-        assert_ne!(spilled, inline);
-    }
-
-    #[test]
-    fn remove_in_the_middle_keeps_inline_order() {
-        let mut t = FreqTable::from_values([9, 5, 7]);
-        t.remove(7);
-        assert_eq!(t.distinct(), 2);
-        assert_eq!(t.count(5), 1);
-        assert_eq!(t.count(7), 0);
-        assert_eq!(t.count(9), 1);
-        // Insertion stays sorted after the hole closes.
-        t.add(6);
-        assert_eq!(t.majority(), Some((5, 1)));
-    }
-
-    #[test]
     fn serde_wire_format_is_sorted_pairs() {
         let t = FreqTable::from_values([9, 2, 2, 5, 9, 9]);
         let json = serde_json::to_string(&t).unwrap();
@@ -685,14 +590,6 @@ mod tests {
                 *self.counts.entry(v).or_insert(0) += 1;
                 self.total += 1;
             }
-            fn remove(&mut self, v: u16) {
-                let c = self.counts.get_mut(&v).unwrap();
-                *c -= 1;
-                if *c == 0 {
-                    self.counts.remove(&v);
-                }
-                self.total -= 1;
-            }
             fn majority(&self) -> Option<(u16, usize)> {
                 self.counts
                     .iter()
@@ -704,23 +601,17 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Random add/remove interleavings: every query agrees with
-            /// the naive map at every step, across the spill boundary.
+            /// Random add sequences: every query agrees with the naive
+            /// map at every step, across the spill boundary.
             #[test]
             fn table_matches_naive_map(
-                ops in proptest::collection::vec((0u16..6, 0u8..2), 1..40)
+                ops in proptest::collection::vec(0u16..6, 1..40)
             ) {
                 let mut t = FreqTable::new();
                 let mut n = Naive::default();
-                for (v, is_add) in ops {
-                    let is_add = is_add == 1;
-                    if is_add || n.counts.get(&v).copied().unwrap_or(0) == 0 {
-                        t.add(v);
-                        n.add(v);
-                    } else {
-                        t.remove(v);
-                        n.remove(v);
-                    }
+                for v in ops {
+                    t.add(v);
+                    n.add(v);
                     prop_assert_eq!(t.total(), n.total);
                     prop_assert_eq!(t.distinct(), n.counts.len());
                     prop_assert_eq!(t.majority(), n.majority());
