@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 
 /// Hyperparameters of the recommender. Paper values: `alpha = 0.01`,
 /// `support = 0.75`, `hops = 1`.
@@ -371,7 +371,7 @@ impl KeyColumnCache {
         kind: ParamKind,
         dependent: &[PredictorAttr],
         window: Range<usize>,
-        build: impl FnOnce() -> Vec<u128>,
+        build: impl FnOnce() -> Arc<[u128]>,
     ) -> WindowColumn {
         let base = window.start;
         let cell = {
@@ -390,7 +390,7 @@ impl KeyColumnCache {
         let mut fresh = false;
         let col = Arc::clone(cell.get_or_init(|| {
             fresh = true;
-            Arc::from(build())
+            build()
         }));
         if fresh {
             self.built.fetch_add(1, Ordering::Relaxed);
@@ -604,7 +604,22 @@ impl CfModel {
     /// build over `scope_after`'s window. A column whose window kept the
     /// same targets (retune-only batches, batches that only touch other
     /// markets) keeps its `Arc`; any other is packed afresh.
+    ///
+    /// Dependency selection of the touched parameters runs on helper
+    /// threads when the batch touches enough targets to pay for them;
+    /// everything the model keeps is built on the calling thread. The
+    /// result does not depend on the schedule.
     pub fn apply_delta(&mut self, apply: &DeltaApply<'_>) -> DeltaFitReport {
+        self.apply_delta_with(apply, None)
+    }
+
+    /// [`CfModel::apply_delta`] with the number of selection helpers
+    /// pinned; `None` sizes it from the touched work.
+    fn apply_delta_with(
+        &mut self,
+        apply: &DeltaApply<'_>,
+        helpers: Option<usize>,
+    ) -> DeltaFitReport {
         let DeltaApply {
             snapshot,
             arena,
@@ -689,40 +704,67 @@ impl CfModel {
         let cache = &*cache.0;
         cache.guard_fleet(snapshot);
 
+        let in_scope = |kind| match kind {
+            ParamKind::Singular => (added_carriers, removed_carriers, None),
+            ParamKind::Pairwise => (added_pairs, removed_pairs, remap),
+        };
         let mut report = DeltaFitReport::default();
+        let mut touched = Vec::new();
+        let mut touched_targets = 0;
         for (i, pc) in self.params.iter_mut().enumerate() {
-            let param = ParamId(i as u16);
-            let kind = snapshot.catalog.def(param).kind;
-            let (added, removed, remap) = match kind {
-                ParamKind::Singular => (added_carriers, removed_carriers, None),
-                ParamKind::Pairwise => (added_pairs, removed_pairs, remap),
-            };
+            let kind = snapshot.catalog.def(pc.param).kind;
+            let (added, removed, remap) = in_scope(kind);
             if added == 0 && removed == 0 && !retuned[i] {
                 report.params_untouched += 1;
                 refresh_key_column(pc, kind, arena, cache, window(scope_after, kind), remap);
                 continue;
             }
+            touched.push(pc.param);
+            touched_targets += match kind {
+                ParamKind::Singular => scope_after.carriers.len(),
+                ParamKind::Pairwise => scope_after.pairs.len(),
+            };
+        }
+        let helpers = helpers.unwrap_or_else(|| {
+            if touched_targets < DELTA_HELPER_MIN_TARGETS {
+                0
+            } else {
+                fit_worker_threads(touched.len()) - 1
+            }
+        });
 
-            // The batch may have shifted which attributes pass the
-            // chi-square test: re-select, exactly as a full refit would.
-            let dependent = select_dependent(
+        // The batch may have shifted which attributes pass the chi-square
+        // test: re-select every touched parameter, exactly as a full
+        // refit would, then rebuild it on this thread.
+        let config = self.config;
+        let select = |param| {
+            select_dependent(
                 arena,
                 snapshot,
                 scope_after,
                 param,
-                &self.config.select_options(&obs),
-            );
-            if dependent != pc.dependent {
+                &config.select_options(&obs),
+            )
+        };
+        let params = &mut self.params;
+        select_then_build(&touched, helpers, select, |param, dependent| {
+            let pc = &mut params[param.index()];
+            let kind = snapshot.catalog.def(param).kind;
+            if dependent == pc.dependent {
+                let (added, removed, remap) = in_scope(kind);
+                build_tables(pc, kind, snapshot, arena, cache, scope_after, remap);
+                report.params_patched += 1;
+                report.obs_added += added as u64;
+                report.obs_removed += removed as u64;
+            } else {
+                // Keep a copy, so the set lives on this thread's heap and
+                // pins nothing in a helper's.
+                let dependent = dependent.clone();
                 *pc =
                     fit_param_with_dependent(snapshot, arena, cache, scope_after, param, dependent);
                 report.params_rebuilt += 1;
-                continue;
             }
-            build_tables(pc, kind, snapshot, arena, cache, scope_after, remap);
-            report.params_patched += 1;
-            report.obs_added += added as u64;
-            report.obs_removed += removed as u64;
-        }
+        });
 
         obs.add("cf.delta.params_patched", report.params_patched as u64);
         obs.add("cf.delta.params_rebuilt", report.params_rebuilt as u64);
@@ -1076,6 +1118,67 @@ pub fn fit_worker_threads(n_jobs: usize) -> usize {
         .min(n_jobs.max(1))
 }
 
+/// Touched targets (in-scope carriers per touched singular parameter,
+/// pairs per touched pair-wise one) below which [`CfModel::apply_delta`]
+/// selects on the calling thread alone. A shard's retune batch touches
+/// a few hundred (two or three parameters over one market), where a
+/// thread spawn costs more than it overlaps; a market stand-up on a
+/// whole-fleet model touches tens of thousands and more.
+const DELTA_HELPER_MIN_TARGETS: usize = 5_000;
+
+/// Runs `select(param)` for every parameter in `jobs` and hands each
+/// result to `build(param, selected)` on the calling thread, in the order
+/// the selections finish.
+///
+/// `helpers` scoped threads claim jobs off a shared counter and send
+/// their selections back over a channel; the calling thread builds what
+/// has arrived and, when nothing has, claims a selection itself. Only
+/// selection — transient scratch and a short result — runs on a helper.
+/// Everything that outlives the call is allocated on the calling thread:
+/// glibc gives each thread its own heap arena and keeps a helper's freed
+/// pages, so building columns and tables there would pin the churn of
+/// every build in memory. With `helpers == 0` the calling thread selects
+/// and builds each job in turn.
+fn select_then_build<S, B>(jobs: &[ParamId], helpers: usize, select: S, mut build: B)
+where
+    S: Fn(ParamId) -> Vec<PredictorAttr> + Sync,
+    B: FnMut(ParamId, Vec<PredictorAttr>),
+{
+    let next = AtomicUsize::new(0);
+    let claim = || jobs.get(next.fetch_add(1, Ordering::Relaxed)).copied();
+    let select = &select;
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            let tx = tx.clone();
+            s.spawn(move || {
+                while let Some(param) = claim() {
+                    if tx.send((param, select(param))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        for _ in 0..jobs.len() {
+            let (param, selected) = match rx.try_recv() {
+                Ok(done) => done,
+                Err(_) => match claim() {
+                    Some(param) => (param, select(param)),
+                    // Every job is claimed; wait for a helper's. A helper
+                    // that panicked drops its sender, so this cannot hang,
+                    // and the scope re-raises the panic on exit.
+                    None => match rx.recv() {
+                        Ok(done) => done,
+                        Err(_) => break,
+                    },
+                },
+            };
+            build(param, selected);
+        }
+    });
+}
+
 /// [`parallel_map`] with an explicit thread override (`None` = machine
 /// default).
 pub(crate) fn parallel_map_with<T, F>(n: usize, threads: Option<usize>, job: F) -> Vec<T>
@@ -1165,8 +1268,10 @@ impl<'a> ArenaPacker<'a> {
         }
     }
 
-    /// The key column of the targets in `window`.
-    fn column(&self, window: Range<usize>) -> Vec<u128> {
+    /// The key column of the targets in `window`, packed straight into
+    /// its shared allocation (a `Range` map has an exact length, so the
+    /// collect allocates once and copies nothing).
+    fn column(&self, window: Range<usize>) -> Arc<[u128]> {
         window.map(|t| self.pack(t)).collect()
     }
 }
@@ -1824,6 +1929,107 @@ mod tests {
         for (x, y) in a.params().iter().zip(b.params()) {
             assert_eq!(x.dependent, y.dependent);
             assert_eq!(x.tables, y.tables);
+        }
+    }
+
+    /// Every parameter's key column (compared by content).
+    fn key_columns(model: &CfModel) -> Vec<Option<Arc<[u128]>>> {
+        model.params().iter().map(ParamCf::key_column_arc).collect()
+    }
+
+    /// The `cf.dep.*` and `cf.delta.*` counters and gauges of `obs`.
+    fn selection_and_delta_metrics(obs: &Recorder) -> Vec<(String, u64)> {
+        let report: serde_json::Value =
+            serde_json::from_str(&obs.report_json()).expect("report is JSON");
+        ["counters", "gauges"]
+            .into_iter()
+            .flat_map(|section| match &report[section] {
+                serde_json::Value::Map(metrics) => metrics.clone(),
+                other => panic!("{section} is not a map: {other:?}"),
+            })
+            .filter(|(name, _)| name.starts_with("cf.dep.") || name.starts_with("cf.delta."))
+            .map(|(name, v)| (name, v.as_u64().expect("metric is a count")))
+            .collect()
+    }
+
+    #[test]
+    fn delta_selection_helpers_do_not_change_the_rolled_model() {
+        let mut s = auric_netgen::stream(&NetScale::tiny(), &TuningKnobs::default());
+        let mut snap = auric_model::empty_snapshot(s.schema().clone(), s.catalog().clone());
+        let mut arena = AttrArena::from_snapshot(&snap);
+        let mut scope = Scope::whole(&snap);
+        // One model per schedule: the calling thread alone, and two
+        // helpers (spawned whatever the core count or batch size).
+        let mut runs: Vec<(usize, CfModel)> = [0, 2]
+            .into_iter()
+            .map(|helpers| {
+                let opts = FitOptions {
+                    obs: Recorder::deterministic(),
+                    ..FitOptions::default()
+                };
+                (
+                    helpers,
+                    CfModel::fit_with(&snap, &scope, CfConfig::default(), opts),
+                )
+            })
+            .collect();
+        let mut batches = 0;
+        while let Some(batch) = s.next_batch() {
+            let digest = auric_model::apply_fleet_deltas(&mut snap, &batch)
+                .expect("stream batches are consistent");
+            arena.append(&snap);
+            let before = std::mem::replace(&mut scope, Scope::whole(&snap));
+            let apply = DeltaApply {
+                snapshot: &snap,
+                arena: &arena,
+                scope_before: &before,
+                scope_after: &scope,
+                batch: &digest,
+                key_cache: None,
+            };
+            let reports: Vec<DeltaFitReport> = runs
+                .iter_mut()
+                .map(|(helpers, model)| model.apply_delta_with(&apply, Some(*helpers)))
+                .collect();
+            assert_eq!(reports[0], reports[1], "batch {batches}: reports differ");
+            let (alone, helped) = (&runs[0].1, &runs[1].1);
+            assert_eq!(
+                serde_json::to_string(alone).unwrap(),
+                serde_json::to_string(helped).unwrap(),
+                "batch {batches}: models differ"
+            );
+            assert_eq!(
+                key_columns(alone),
+                key_columns(helped),
+                "batch {batches}: key columns differ"
+            );
+            assert_eq!(
+                selection_and_delta_metrics(alone.recorder()),
+                selection_and_delta_metrics(helped.recorder()),
+                "batch {batches}: selection or delta counts differ"
+            );
+            batches += 1;
+        }
+        assert!(batches > 1, "the tiny stream has batches");
+        let metrics = selection_and_delta_metrics(runs[1].1.recorder());
+        for name in ["cf.dep.conditional_tests", "cf.delta.params_patched"] {
+            assert!(
+                metrics.iter().any(|(n, v)| n == name && *v > 0),
+                "{name} never counted: {metrics:?}"
+            );
+        }
+        let refit = CfModel::fit(&snap, &scope, CfConfig::default());
+        for (helpers, model) in &runs {
+            assert_eq!(
+                serde_json::to_string(model).unwrap(),
+                serde_json::to_string(&refit).unwrap(),
+                "{helpers} helpers: rolled model differs from a full refit"
+            );
+            assert_eq!(
+                key_columns(model),
+                key_columns(&refit),
+                "{helpers} helpers: key columns differ from a refit"
+            );
         }
     }
 

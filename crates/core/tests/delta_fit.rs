@@ -552,7 +552,8 @@ impl Sketch {
 /// 3 retune a carrier slot, 4 and 7 retune a pair slot, 5 retune then
 /// remove the tail, 6 add a carrier, give it an edge, remove it again, 8
 /// remove the tail and add as many edges as it had — the pair count
-/// stays, but pairs move inside an unchanged window.
+/// stays, but pairs move inside an unchanged window, 9 remove every
+/// carrier of the tail market, leaving its scope empty.
 fn adversarial_batch(base: &NetworkSnapshot, ops: &[(u8, u32, u32, u16)]) -> Vec<FleetDelta> {
     let catalog = &base.catalog;
     let singular: Vec<_> = catalog.singular_ids().collect();
@@ -568,6 +569,21 @@ fn adversarial_batch(base: &NetworkSnapshot, ops: &[(u8, u32, u32, u16)]) -> Vec
             .collect(),
         removed: false,
     };
+    // The tail market's carriers are the fleet's last ids, so popping
+    // the tail down to its first carrier empties it (batch-born carriers
+    // sit above it and go too).
+    let tail_market = base.carrier(CarrierId(sketch.n - 1)).market;
+    let tail_market_start = base
+        .carriers_in_market(tail_market)
+        .iter()
+        .min()
+        .expect("the tail market has carriers")
+        .0;
+    assert_eq!(
+        base.carriers_in_market(tail_market).len() as u32,
+        sketch.n - tail_market_start,
+        "the tail market holds exactly the fleet's last ids"
+    );
     let mut out = Vec::new();
     // Carriers added by this batch are clones of `base` carriers, so
     // every template is read from the pre-batch fleet.
@@ -662,7 +678,7 @@ fn adversarial_batch(base: &NetworkSnapshot, ops: &[(u8, u32, u32, u16)]) -> Vec
                 add_edge(&mut sketch, &mut out, born, r1, v);
                 sketch.remove_tail(&mut out);
             }
-            _ => {
+            8 => {
                 let tail = sketch.tail();
                 let degree = sketch
                     .edges
@@ -673,6 +689,11 @@ fn adversarial_batch(base: &NetworkSnapshot, ops: &[(u8, u32, u32, u16)]) -> Vec
                 for k in 0..degree {
                     let a = CarrierId((r1 + k) % sketch.n);
                     add_edge(&mut sketch, &mut out, a, r2 + k, v);
+                }
+            }
+            _ => {
+                while sketch.n > tail_market_start {
+                    sketch.remove_tail(&mut out);
                 }
             }
         }
@@ -691,7 +712,7 @@ proptest! {
     /// same scope: wire JSON and key columns.
     #[test]
     fn adversarial_batches_match_scoped_refits(
-        ops in collection::vec((0u8..9, 0u32..1_000_000, 0u32..1_000_000, 0u16..1_000), 1..10),
+        ops in collection::vec((0u8..10, 0u32..1_000_000, 0u32..1_000_000, 0u16..1_000), 1..10),
     ) {
         let fitted = two_market_fleet();
         let batch = adversarial_batch(&fitted.snapshot, &ops);
