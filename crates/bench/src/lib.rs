@@ -2,6 +2,8 @@
 //! the unpacked reference implementation, each folded into a checksum so
 //! the two runs are comparable and the work stays observable.
 
+#![forbid(unsafe_code)]
+
 use auric_core::legacy::LegacyCfModel;
 use auric_core::{CfModel, Scope};
 use auric_model::{NetworkSnapshot, ParamKind};

@@ -3,7 +3,7 @@
 //! filtering this is exact leave-one-out — the probe's own value is
 //! removed from every vote it would participate in.
 
-use crate::cf::{Basis, CfModel};
+use crate::cf::{parallel_map, Basis, CfModel};
 use crate::scope::Scope;
 use auric_model::{NetworkSnapshot, ParamId, ParamKind};
 use serde::{Deserialize, Serialize};
@@ -75,17 +75,17 @@ fn basis_slot(b: Basis) -> usize {
 /// Evaluates a fitted CF model over `scope` with leave-one-out semantics.
 /// `local = true` runs the §3.3 local learner (1-hop X2 voting first);
 /// `local = false` runs the pure global learner. Parameters are evaluated
-/// in parallel.
+/// in parallel through [`parallel_map`]: threads claim the next parameter
+/// as they free up (pair-wise parameters are an order of magnitude more
+/// work than singular ones), and the results come back in parameter
+/// order.
 pub fn evaluate_cf(
     snapshot: &NetworkSnapshot,
     scope: &Scope,
     model: &CfModel,
     local: bool,
 ) -> AccuracyReport {
-    // Work-stealing over parameters: pair-wise parameters are an order of
-    // magnitude more work than singular ones, so static chunks leave
-    // threads idle. The pool reassembles results in parameter order.
-    let per_param = crate::cf::parallel_map(snapshot.catalog.len(), |i| {
+    let per_param = parallel_map(snapshot.catalog.len(), |i| {
         evaluate_param(snapshot, scope, model, ParamId(i as u16), local)
     });
     AccuracyReport { per_param }

@@ -73,13 +73,15 @@ impl CfConfig {
 }
 
 /// Options for [`CfModel::fit_with`]: the observability recorder and an
-/// optional worker-thread override for the fit pool (mainly for honest
+/// optional override of the fit's thread count (mainly for honest
 /// single- vs multi-thread benchmarking).
 #[derive(Debug, Clone, Default)]
 pub struct FitOptions {
     /// Where fit-time metrics land; [`Recorder::disabled`] costs nothing.
     pub obs: Recorder,
-    /// Worker threads for the fit pool; `None` uses the machine default
+    /// Threads working on the fit, the calling thread included: `Some(1)`
+    /// (or `Some(0)`) fits sequentially on the calling thread, `Some(k)`
+    /// adds `k - 1` selection helpers. `None` uses the machine default
     /// (see [`fit_worker_threads`]).
     pub threads: Option<usize>,
     /// A key-column cache shared across fits of the **same snapshot**.
@@ -524,19 +526,21 @@ impl CfModel {
     /// Fits dependency sets and vote tables for every catalog parameter
     /// over `scope`.
     ///
-    /// Parameters are fitted in parallel by a work-stealing pool: workers
-    /// claim the next parameter index off a shared atomic counter, so one
-    /// slow parameter (big cardinality, many pairs) no longer idles the
-    /// threads that drew cheap static chunks. Results are reassembled in
-    /// index order, so the fitted model is deterministic regardless of
-    /// which worker fitted what.
+    /// Parameters are independent (§3.2). Their dependency selections
+    /// run on helper threads that claim the next parameter off a shared
+    /// counter, so one slow parameter (big cardinality, many pairs) idles
+    /// no other thread; the calling thread builds each selected
+    /// parameter's key column and vote tables into its index slot, and
+    /// selects too when no selection is waiting. The fitted model does
+    /// not depend on the schedule.
     pub fn fit(snapshot: &NetworkSnapshot, scope: &Scope, config: CfConfig) -> Self {
         Self::fit_with(snapshot, scope, config, FitOptions::default())
     }
 
     /// [`CfModel::fit`] with explicit [`FitOptions`]: fit-time metrics go
     /// to `opts.obs` (which stays attached to the model so recommendation
-    /// metrics land there too), and `opts.threads` pins the pool width.
+    /// metrics land there too), and `opts.threads` pins how many threads
+    /// work on the fit, the calling thread included.
     pub fn fit_with(
         snapshot: &NetworkSnapshot,
         scope: &Scope,
@@ -551,7 +555,7 @@ impl CfModel {
         let n_params = snapshot.catalog.len();
         let span = obs.span("cf.fit");
         // The shared read-only inputs of every fit job: the columnar
-        // attribute arena (built once, before the pool starts) and the
+        // attribute arena (built once, before any helper starts) and the
         // key-column cache the jobs dedup their fleet-sized columns in.
         // A caller-provided cache extends the dedup across fits of the
         // same snapshot (per-market models, refits); a private one only
@@ -561,17 +565,33 @@ impl CfModel {
         let cache = key_cache.unwrap_or_default();
         let cache = &*cache.0;
         cache.guard_fleet(snapshot);
-        let params = parallel_map_with(n_params, threads, |i| {
-            fit_param(
+        // Selection runs on helpers; everything the model keeps is built
+        // here.
+        let select = |i: usize| {
+            let _span = obs.span("cf.fit/param/dependency");
+            let options = config.select_options(&obs);
+            select_dependent(&arena, snapshot, scope, ParamId(i as u16), &options)
+        };
+        let build = |i: usize, dependent: Vec<PredictorAttr>| {
+            let span = obs.span("cf.fit/param");
+            // Keep a copy, so the set lives on this thread's heap and
+            // pins nothing in a helper's.
+            let dependent = dependent.clone();
+            let pc = fit_param_with_dependent(
                 snapshot,
                 &arena,
                 cache,
                 scope,
                 ParamId(i as u16),
-                &config,
-                &obs,
-            )
-        });
+                dependent,
+            );
+            obs.inc("cf.fit.params");
+            obs.add("cf.fit.groups", pc.tables.n_groups() as u64);
+            obs.observe("cf.fit.dependent_attrs", pc.dependent.len() as u64);
+            span.close();
+            pc
+        };
+        let params = work_then_keep(n_params, helpers_for(threads, n_params), select, build);
         obs.gauge_max("cf.fit.keycol.built", cache.built.load(Ordering::Relaxed));
         obs.gauge_max("cf.fit.keycol.shared", cache.shared.load(Ordering::Relaxed));
         obs.gauge_max("cf.fit.keycol.bytes", cache.bytes.load(Ordering::Relaxed));
@@ -729,7 +749,7 @@ impl CfModel {
             if touched_targets < DELTA_HELPER_MIN_TARGETS {
                 0
             } else {
-                fit_worker_threads(touched.len()) - 1
+                helpers_for(None, touched.len())
             }
         });
 
@@ -737,17 +757,13 @@ impl CfModel {
         // test: re-select every touched parameter, exactly as a full
         // refit would, then rebuild it on this thread.
         let config = self.config;
-        let select = |param| {
-            select_dependent(
-                arena,
-                snapshot,
-                scope_after,
-                param,
-                &config.select_options(&obs),
-            )
+        let select = |j: usize| {
+            let options = config.select_options(&obs);
+            select_dependent(arena, snapshot, scope_after, touched[j], &options)
         };
         let params = &mut self.params;
-        select_then_build(&touched, helpers, select, |param, dependent| {
+        work_then_keep(touched.len(), helpers, select, |j, dependent| {
+            let param = touched[j];
             let pc = &mut params[param.index()];
             let kind = snapshot.catalog.def(param).kind;
             if dependent == pc.dependent {
@@ -1096,26 +1112,24 @@ impl CfModel {
     }
 }
 
-/// Runs `job(i)` for `i in 0..n` on a work-stealing thread pool and
-/// returns the results in index order. Workers claim indices off a shared
-/// atomic counter, so unevenly sized jobs balance themselves; the output
-/// is independent of the schedule.
-pub(crate) fn parallel_map<T, F>(n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(n, None, job)
-}
-
-/// The worker-thread count [`CfModel::fit`] actually uses for `n_jobs`
-/// parallel jobs — exposed so benchmarks can report the real pool width
-/// instead of guessing from `available_parallelism`.
+/// The worker-thread count [`CfModel::fit`] uses for `n_jobs` parallel
+/// jobs, the calling thread included — exposed so benchmarks can report
+/// the real width instead of guessing from `available_parallelism`.
 pub fn fit_worker_threads(n_jobs: usize) -> usize {
     std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(4)
         .min(n_jobs.max(1))
+}
+
+/// Helper threads for `n_jobs` jobs when `threads` threads (the calling
+/// thread included; `None` = [`fit_worker_threads`]) should work on them.
+/// `Some(0)` means `Some(1)`: the calling thread alone.
+fn helpers_for(threads: Option<usize>, n_jobs: usize) -> usize {
+    threads
+        .unwrap_or_else(|| fit_worker_threads(n_jobs))
+        .clamp(1, n_jobs.max(1))
+        - 1
 }
 
 /// Touched targets (in-scope carriers per touched singular parameter,
@@ -1126,45 +1140,50 @@ pub fn fit_worker_threads(n_jobs: usize) -> usize {
 /// whole-fleet model touches tens of thousands and more.
 const DELTA_HELPER_MIN_TARGETS: usize = 5_000;
 
-/// Runs `select(param)` for every parameter in `jobs` and hands each
-/// result to `build(param, selected)` on the calling thread, in the order
-/// the selections finish.
+/// Runs `work(i)` for every job `i in 0..n`, hands each result to
+/// `keep(i, result)` on the calling thread in the order the jobs finish,
+/// and returns what `keep` made, in index order. Parameters are independent (§3.2), so this is the one scheduler for
+/// every per-parameter fan-out: the fit and [`CfModel::apply_delta`]
+/// (`work` selects, `keep` builds) and [`parallel_map`].
 ///
 /// `helpers` scoped threads claim jobs off a shared counter and send
-/// their selections back over a channel; the calling thread builds what
-/// has arrived and, when nothing has, claims a selection itself. Only
-/// selection — transient scratch and a short result — runs on a helper.
-/// Everything that outlives the call is allocated on the calling thread:
-/// glibc gives each thread its own heap arena and keeps a helper's freed
-/// pages, so building columns and tables there would pin the churn of
-/// every build in memory. With `helpers == 0` the calling thread selects
-/// and builds each job in turn.
-fn select_then_build<S, B>(jobs: &[ParamId], helpers: usize, select: S, mut build: B)
+/// their results back over a channel; the calling thread keeps what has
+/// arrived and, when nothing has, claims a job itself. Unevenly sized
+/// jobs balance themselves. Only `work` — transient scratch and a short
+/// result — runs on a helper. Everything that outlives the call is
+/// allocated in `keep`, on the calling thread: glibc gives each thread
+/// its own heap arena and keeps a helper's freed pages, so building
+/// columns and tables there would pin the churn of every build in
+/// memory. With `helpers == 0` the calling thread works and keeps each
+/// job in turn.
+fn work_then_keep<R, T, W, K>(n: usize, helpers: usize, work: W, mut keep: K) -> Vec<T>
 where
-    S: Fn(ParamId) -> Vec<PredictorAttr> + Sync,
-    B: FnMut(ParamId, Vec<PredictorAttr>),
+    R: Send,
+    W: Fn(usize) -> R + Sync,
+    K: FnMut(usize, R) -> T,
 {
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let next = AtomicUsize::new(0);
-    let claim = || jobs.get(next.fetch_add(1, Ordering::Relaxed)).copied();
-    let select = &select;
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+    let work = &work;
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
         for _ in 0..helpers {
             let tx = tx.clone();
             s.spawn(move || {
-                while let Some(param) = claim() {
-                    if tx.send((param, select(param))).is_err() {
+                while let Some(i) = claim() {
+                    if tx.send((i, work(i))).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(tx);
-        for _ in 0..jobs.len() {
-            let (param, selected) = match rx.try_recv() {
+        for _ in 0..n {
+            let (i, result) = match rx.try_recv() {
                 Ok(done) => done,
                 Err(_) => match claim() {
-                    Some(param) => (param, select(param)),
+                    Some(i) => (i, work(i)),
                     // Every job is claimed; wait for a helper's. A helper
                     // that panicked drops its sender, so this cannot hang,
                     // and the scope re-raises the panic on exit.
@@ -1174,54 +1193,23 @@ where
                     },
                 },
             };
-            build(param, selected);
-        }
-    });
-}
-
-/// [`parallel_map`] with an explicit thread override (`None` = machine
-/// default).
-pub(crate) fn parallel_map_with<T, F>(n: usize, threads: Option<usize>, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let n_threads = threads
-        .unwrap_or_else(|| fit_worker_threads(n))
-        .clamp(1, n.max(1));
-    if n_threads <= 1 {
-        return (0..n).map(job).collect();
-    }
-    // Pre-sized slot assembly: each worker writes its result straight into
-    // `slots[i]`. The claim off the atomic counter hands index `i` to
-    // exactly one worker, so every slot is written at most once and there
-    // is no post-join sort or per-worker `(index, value)` staging vector.
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    struct SlotWriter<T>(*mut Option<T>);
-    // SAFETY: workers write disjoint slots (each index is claimed by one
-    // worker) and the writes happen-before the scope join below.
-    unsafe impl<T: Send> Sync for SlotWriter<T> {}
-    let writer = SlotWriter(slots.as_mut_ptr());
-    let writer = &writer;
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..n_threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = job(i);
-                // SAFETY: `i < n` and this worker is the only one that
-                // claimed `i`.
-                unsafe { writer.0.add(i).write(Some(value)) };
-            });
+            slots[i] = Some(keep(i, result));
         }
     });
     slots
         .into_iter()
-        .map(|slot| slot.expect("claimed slot written"))
+        .map(|slot| slot.expect("every job is kept"))
         .collect()
+}
+
+/// Runs `job(i)` for `i in 0..n` on [`fit_worker_threads`] threads and
+/// returns the results in index order, independent of the schedule.
+pub fn parallel_map<T, F>(n: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    work_then_keep(n, helpers_for(None, n), job, |_, value| value)
 }
 
 /// Packs target keys of one `(kind, dependent)` layout straight from the
@@ -1361,34 +1349,10 @@ fn build_tables(
     };
 }
 
-/// Fits one parameter: dependency selection, key-layout construction,
-/// key-column materialization (through the shared arena and cache), then
-/// vote-table construction.
-fn fit_param(
-    snapshot: &NetworkSnapshot,
-    arena: &AttrArena,
-    cache: &KeyColumnCache,
-    scope: &Scope,
-    param: ParamId,
-    config: &CfConfig,
-    obs: &Recorder,
-) -> ParamCf {
-    let span = obs.span("cf.fit/param");
-    let dep_span = span.child("dependency");
-    let dependent = select_dependent(arena, snapshot, scope, param, &config.select_options(obs));
-    dep_span.close();
-    let pc = fit_param_with_dependent(snapshot, arena, cache, scope, param, dependent);
-    obs.inc("cf.fit.params");
-    obs.add("cf.fit.groups", pc.tables.n_groups() as u64);
-    obs.observe("cf.fit.dependent_attrs", pc.dependent.len() as u64);
-    drop(span);
-    pc
-}
-
-/// The build half of [`fit_param`]: key layout, then key column (through
-/// the shared arena and cache) and vote tables ([`build_tables`]) for an
-/// already-selected dependent set. The incremental fit calls this
-/// directly when a delta batch changed a parameter's dependency
+/// Fits one parameter from its already-selected dependent set: key
+/// layout, then key column (through the shared arena and cache) and vote
+/// tables ([`build_tables`]). The fit calls this for every parameter, the
+/// incremental fit when a delta batch changed a parameter's dependency
 /// selection.
 fn fit_param_with_dependent(
     snapshot: &NetworkSnapshot,
@@ -1923,13 +1887,91 @@ mod tests {
     #[test]
     fn fit_is_deterministic_despite_parallelism() {
         let net = generate(&NetScale::tiny(), &TuningKnobs::default());
-        let scope = Scope::whole(&net.snapshot);
-        let a = CfModel::fit(&net.snapshot, &scope, CfConfig::default());
-        let b = CfModel::fit(&net.snapshot, &scope, CfConfig::default());
-        for (x, y) in a.params().iter().zip(b.params()) {
-            assert_eq!(x.dependent, y.dependent);
-            assert_eq!(x.tables, y.tables);
+        let snap = &net.snapshot;
+        let scopes: Vec<Scope> = std::iter::once(Scope::whole(snap))
+            .chain(snap.markets.iter().map(|m| Scope::market(snap, m.id)))
+            .collect();
+        // `Some(0)` means the calling thread alone, like `Some(1)`.
+        assert_eq!(helpers_for(Some(0), snap.catalog.len()), 0);
+        // One run per schedule: the calling thread alone (asked for as 0
+        // and as 1 threads), and two helpers (spawned whatever the core
+        // count). Each fits every scope through its own key cache.
+        let runs: Vec<(usize, Vec<CfModel>, Recorder)> = [0, 1, 3]
+            .into_iter()
+            .map(|threads| {
+                let obs = Recorder::deterministic();
+                let key_cache = SharedKeyColumns::new();
+                let models = scopes
+                    .iter()
+                    .map(|scope| {
+                        let opts = FitOptions {
+                            obs: obs.clone(),
+                            threads: Some(threads),
+                            key_cache: Some(key_cache.clone()),
+                        };
+                        CfModel::fit_with(snap, scope, CfConfig::default(), opts)
+                    })
+                    .collect();
+                (threads, models, obs)
+            })
+            .collect();
+        let (_, base_models, base_obs) = &runs[0];
+        let aliasing = column_aliasing(base_models);
+        assert!(
+            aliasing
+                .iter()
+                .enumerate()
+                .any(|(i, a)| a.is_some_and(|first| first != i)),
+            "no two parameters share a key column"
+        );
+        for (threads, models, obs) in &runs[1..] {
+            for (s, (a, b)) in base_models.iter().zip(models).enumerate() {
+                assert_eq!(
+                    serde_json::to_string(a).unwrap(),
+                    serde_json::to_string(b).unwrap(),
+                    "{threads} threads, scope {s}: models differ"
+                );
+                assert_eq!(
+                    key_columns(a),
+                    key_columns(b),
+                    "{threads} threads, scope {s}: key columns differ"
+                );
+            }
+            assert_eq!(
+                column_aliasing(models),
+                aliasing,
+                "{threads} threads: key columns alias differently"
+            );
+            assert_eq!(
+                fit_metrics(obs),
+                fit_metrics(base_obs),
+                "{threads} threads: fit or selection metrics differ"
+            );
         }
+    }
+
+    /// The report lines of every `cf.fit*` and `cf.dep.*` counter, gauge,
+    /// histogram and span of `obs`.
+    fn fit_metrics(obs: &Recorder) -> Vec<String> {
+        obs.report_json()
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("\"cf.fit") || l.starts_with("\"cf.dep."))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// For every parameter of every model in turn, the position in that
+    /// list of the first key column sharing its allocation.
+    fn column_aliasing(models: &[CfModel]) -> Vec<Option<usize>> {
+        let cols: Vec<Option<Arc<[u128]>>> = models.iter().flat_map(key_columns).collect();
+        cols.iter()
+            .map(|c| {
+                let c = c.as_ref()?;
+                cols.iter()
+                    .position(|d| d.as_ref().is_some_and(|d| Arc::ptr_eq(c, d)))
+            })
+            .collect()
     }
 
     /// Every parameter's key column (compared by content).
@@ -2030,6 +2072,23 @@ mod tests {
                 key_columns(&refit),
                 "{helpers} helpers: key columns differ from a refit"
             );
+        }
+    }
+
+    #[test]
+    fn scheduler_keeps_every_result_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for helpers in [0, 1, 3] {
+            let work = |i: usize| (i * i, std::thread::current().id());
+            let kept = work_then_keep(257, helpers, work, |i, (v, worker)| {
+                assert_eq!(std::thread::current().id(), caller);
+                if helpers == 0 {
+                    assert_eq!(worker, caller, "no helper is spawned");
+                }
+                (i, v)
+            });
+            let want: Vec<_> = (0..257).map(|i| (i, i * i)).collect();
+            assert_eq!(kept, want, "{helpers} helpers");
         }
     }
 

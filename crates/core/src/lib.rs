@@ -24,6 +24,8 @@
 //! [`perf`] implements the §6 performance-feedback extension
 //! (performance-weighted voting).
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod cf;
 pub mod datasets;
@@ -37,8 +39,8 @@ pub mod voting;
 
 pub use accuracy::{evaluate_cf, AccuracyReport, ParamAccuracy};
 pub use cf::{
-    fit_worker_threads, Basis, CfConfig, CfModel, DeltaApply, DeltaFitReport, FitOptions,
-    ModelLoadError, Recommendation, SharedKeyColumns,
+    fit_worker_threads, parallel_map, Basis, CfConfig, CfModel, DeltaApply, DeltaFitReport,
+    FitOptions, ModelLoadError, Recommendation, SharedKeyColumns,
 };
 pub use dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
 pub use mismatch::{label_for, MismatchLabel, MismatchReport};

@@ -36,6 +36,8 @@
 //!   that survives injected faults. Its campaign report reproduces
 //!   Table 5.
 
+#![forbid(unsafe_code)]
+
 pub mod ems;
 pub mod fault;
 pub mod mo;

@@ -7,11 +7,11 @@
 //! macro-averaged over the 65 parameters per market, exactly like
 //! Table 4's rows.
 
-use crate::experiments::{distinct_in_scope, network, parallel_map};
+use crate::experiments::{distinct_in_scope, network};
 use crate::render::{pct, TextTable};
 use crate::{ExpOutput, RunOptions};
 use auric_core::datasets::dataset_for_param;
-use auric_core::{evaluate_cf, CfConfig, CfModel, Scope};
+use auric_core::{evaluate_cf, parallel_map, CfConfig, CfModel, Scope};
 use auric_learners::{
     cross_val_accuracy, Classifier, Dataset, DecisionTree, KnnClassifier, MlpClassifier, Model,
     RandomForest,

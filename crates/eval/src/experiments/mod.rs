@@ -57,36 +57,6 @@ pub fn fit_per_market(
     models
 }
 
-/// Maps `f` over `0..n` in parallel, preserving order. The workhorse for
-/// per-parameter fan-out in the heavy experiments.
-pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let n_threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(4)
-        .min(n);
-    let chunk_len = n.div_ceil(n_threads);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (t, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            let base = t * chunk_len;
-            let f = &f;
-            s.spawn(move || {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(f(base + off));
-                }
-            });
-        }
-    });
-    out.into_iter().map(Option::unwrap).collect()
-}
-
 /// Number of distinct values `param` takes over an explicit slot list
 /// (carrier indices for singular, pair indices for pair-wise).
 pub fn distinct_in_scope(snapshot: &NetworkSnapshot, scope: &Scope, param: ParamId) -> usize {

@@ -32,6 +32,8 @@
 //! | `ablation-hops` | locality-radius sweep (ours)                     |
 //! | `ablation-dependency` | marginal vs conditional selection (ours)   |
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod render;
 

@@ -30,6 +30,8 @@
 //! — so configuration quality becomes observable, exactly what the §6
 //! extension needs.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod handover;
 pub mod postcheck;

@@ -17,6 +17,8 @@
 //! categorical [`dataset::Dataset`]; [`cv::cross_val_accuracy`] provides
 //! the paper's "standard machine learning cross-validation" evaluation.
 
+#![forbid(unsafe_code)]
+
 pub mod cv;
 pub mod dataset;
 pub mod forest;

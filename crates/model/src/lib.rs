@@ -12,6 +12,8 @@
 //! substrate the generator (`auric-netgen`), the recommender (`auric-core`)
 //! and the deployment simulator (`auric-ems`) all build on.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod attrs;
 pub mod carrier;

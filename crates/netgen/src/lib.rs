@@ -30,6 +30,8 @@
 //! Everything is driven by a single seed; identical inputs give identical
 //! snapshots, byte for byte.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod names;
 pub mod rules;

@@ -23,6 +23,8 @@
 //! Zero dependencies: only `std`. The JSON is rendered by hand precisely
 //! because the output ordering is part of the contract.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,6 +13,8 @@
 //!   hand-picked attribute set (what a diligent engineering team would
 //!   tabulate).
 
+#![forbid(unsafe_code)]
+
 use auric_model::{AttrId, AttrValue, AttrVec, NetworkSnapshot, ParamId, ParamKind, ValueIdx};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

@@ -36,6 +36,8 @@
 //! each request executes on the thread that calls the service, between
 //! two short critical sections on its shard's control mutex.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod breaker;
 pub mod cache;

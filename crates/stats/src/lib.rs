@@ -20,6 +20,8 @@
 //! - [`packed`] — mixed-radix packing of categorical keys into a `u128`
 //!   and the multiply-shift hasher the vote tables index with.
 
+#![forbid(unsafe_code)]
+
 pub mod chi2;
 pub mod contingency;
 pub mod distance;

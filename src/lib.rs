@@ -4,6 +4,8 @@
 //! integration tests read naturally. See the README for a tour and
 //! DESIGN.md for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use auric_core as core;
 pub use auric_ems as ems;
 pub use auric_eval as eval;
