@@ -758,11 +758,13 @@ impl CfModel {
         // refit would, then rebuild it on this thread.
         let config = self.config;
         let select = |j: usize| {
+            let _span = obs.span("cf.delta.apply/select");
             let options = config.select_options(&obs);
             select_dependent(arena, snapshot, scope_after, touched[j], &options)
         };
         let params = &mut self.params;
         work_then_keep(touched.len(), helpers, select, |j, dependent| {
+            let _span = obs.span("cf.delta.apply/build");
             let param = touched[j];
             let pc = &mut params[param.index()];
             let kind = snapshot.catalog.def(param).kind;
@@ -1220,9 +1222,9 @@ struct ArenaPacker<'a> {
     codec: &'a PackedKeyCodec,
     /// Attribute column of each key position.
     cols: Vec<&'a [AttrValue]>,
-    /// Pair targets: the endpoint column of each key position (Src
-    /// positions index through `pair_src`, Dst through `pair_dst`).
-    ends: Option<Vec<&'a [u32]>>,
+    /// Pair targets: the side each key position is read from, and the
+    /// arena's `[pair_src, pair_dst]` endpoint columns.
+    pairs: Option<(Vec<Side>, [&'a [u32]; 2])>,
 }
 
 impl<'a> ArenaPacker<'a> {
@@ -1232,35 +1234,87 @@ impl<'a> ArenaPacker<'a> {
         dependent: &[PredictorAttr],
         kind: ParamKind,
     ) -> Self {
-        let ends = (kind == ParamKind::Pairwise).then(|| {
-            dependent
-                .iter()
-                .map(|pa| match pa.side {
-                    Side::Src => arena.pair_src(),
-                    Side::Dst => arena.pair_dst(),
-                })
-                .collect()
+        let pairs = (kind == ParamKind::Pairwise).then(|| {
+            (
+                dependent.iter().map(|pa| pa.side).collect(),
+                [arena.pair_src(), arena.pair_dst()],
+            )
         });
         Self {
             codec,
             cols: dependent.iter().map(|pa| arena.column(pa.attr)).collect(),
-            ends,
+            pairs,
         }
     }
 
-    #[inline]
+    /// Target `t`'s key, packed position by position: the row-major form
+    /// the column packer is tested against.
+    #[cfg(test)]
     fn pack(&self, t: usize) -> u128 {
-        match &self.ends {
+        match &self.pairs {
             None => self.codec.pack_with(|i| self.cols[i][t]),
-            Some(ends) => self.codec.pack_with(|i| self.cols[i][ends[i][t] as usize]),
+            Some((sides, [src, dst])) => self.codec.pack_with(|i| {
+                let end = match sides[i] {
+                    Side::Src => src[t],
+                    Side::Dst => dst[t],
+                };
+                self.cols[i][end as usize]
+            }),
         }
     }
 
     /// The key column of the targets in `window`, packed straight into
     /// its shared allocation (a `Range` map has an exact length, so the
     /// collect allocates once and copies nothing).
+    ///
+    /// A pair's key is the OR of its source-side fields, which depend on
+    /// the source carrier only, and its destination-side fields. Each
+    /// side's fields are packed once per carrier its endpoints span, and
+    /// each pair ORs in its two endpoints' partial keys.
     fn column(&self, window: Range<usize>) -> Arc<[u128]> {
-        window.map(|t| self.pack(t)).collect()
+        let mut column: Arc<[u128]> = window.clone().map(|_| 0).collect();
+        let keys = Arc::get_mut(&mut column).expect("a fresh column has one owner");
+        if keys.is_empty() {
+            return column;
+        }
+        let Some((sides, ends)) = &self.pairs else {
+            let all: Vec<usize> = (0..self.cols.len()).collect();
+            self.or_fields(&all, keys, |k| window.start + k);
+            return column;
+        };
+        for (side, ends) in [(Side::Src, ends[0]), (Side::Dst, ends[1])] {
+            let positions: Vec<usize> = (0..sides.len()).filter(|&i| sides[i] == side).collect();
+            if positions.is_empty() {
+                continue;
+            }
+            let ends = &ends[window.clone()];
+            let (lo, hi) = ends
+                .iter()
+                .fold((u32::MAX, 0), |(lo, hi), &e| (lo.min(e), hi.max(e)));
+            let mut partial = vec![0u128; (hi - lo) as usize + 1];
+            self.or_fields(&positions, &mut partial, |k| lo as usize + k);
+            for (key, &e) in keys.iter_mut().zip(ends) {
+                *key |= partial[(e - lo) as usize];
+            }
+        }
+        column
+    }
+
+    /// ORs the fields of key `positions` into `keys`, reading key `k`'s
+    /// levels at arena row `row(k)`. Keys are packed a block at a time,
+    /// and within a block one position at a time: each pass reads one
+    /// attribute column and ORs its field into keys that stay in the L1
+    /// cache.
+    fn or_fields(&self, positions: &[usize], keys: &mut [u128], row: impl Fn(usize) -> usize) {
+        const BLOCK: usize = 512;
+        for (b, block) in keys.chunks_mut(BLOCK).enumerate() {
+            let first = b * BLOCK;
+            for &i in positions {
+                let col = self.cols[i];
+                let levels = (first..first + block.len()).map(|k| col[row(k)]);
+                self.codec.pack_position(i, block, levels);
+            }
+        }
     }
 }
 
@@ -1334,18 +1388,24 @@ fn build_tables(
     let w = refresh_key_column(pc, kind, arena, cache, window(scope, kind), remap);
     let (param, config) = (pc.param, &snapshot.config);
     pc.tables = match kind {
-        ParamKind::Singular => VoteTables::from_observations(
-            scope
-                .carriers
-                .iter()
-                .map(|&c| (w.col[c.index() - w.base], config.value(param, c))),
-        ),
-        ParamKind::Pairwise => VoteTables::from_observations(
-            scope
-                .pairs
-                .iter()
-                .map(|&q| (w.col[q as usize - w.base], config.pair_value(param, q))),
-        ),
+        ParamKind::Singular => {
+            let values = config.values_of(param);
+            VoteTables::from_observations(
+                scope
+                    .carriers
+                    .iter()
+                    .map(|&c| (w.col[c.index() - w.base], values[c.index()])),
+            )
+        }
+        ParamKind::Pairwise => {
+            let values = config.pair_values_of(param);
+            VoteTables::from_observations(
+                scope
+                    .pairs
+                    .iter()
+                    .map(|&q| (w.col[q as usize - w.base], values[q as usize])),
+            )
+        }
     };
 }
 
@@ -2120,6 +2180,63 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The column packer — blocks of keys filled one position at a
+            /// time, pair keys through per-carrier partial keys — equals
+            /// packing each target row-major. Layouts run up to 128 bits,
+            /// and a position's cardinality may sit below the arena's
+            /// levels, so those clamp to the sentinel.
+            #[test]
+            fn column_packing_matches_row_major_packing(
+                spec in collection::vec((0usize..1024, 0u8..2, 0u16..=u16::MAX, 0u8..3), 0..12),
+                pairwise in 0u8..2,
+                ends in (0.0f64..=1.0, 0.0f64..=1.0),
+            ) {
+                let net = shared_net();
+                let snap = &net.snapshot;
+                let arena = AttrArena::from_snapshot(snap);
+                let attrs: Vec<AttrId> = snap.schema.attr_ids().collect();
+                let kind = if pairwise == 1 {
+                    ParamKind::Pairwise
+                } else {
+                    ParamKind::Singular
+                };
+                let mut dependent = Vec::new();
+                let mut cards: Vec<u16> = Vec::new();
+                let mut bits = 0;
+                for &(a, s, raw, mode) in &spec {
+                    let attr = attrs[a % attrs.len()];
+                    let radix = snap.schema.radix(attr);
+                    let card = match mode {
+                        0 => radix,
+                        1 => (raw % radix).max(1),
+                        _ => raw.max(1),
+                    };
+                    let width = (u16::BITS - card.leading_zeros()).max(1);
+                    if bits + width > 128 {
+                        break;
+                    }
+                    bits += width;
+                    cards.push(card);
+                    let side = if kind == ParamKind::Pairwise && s == 1 {
+                        Side::Dst
+                    } else {
+                        Side::Src
+                    };
+                    dependent.push(PredictorAttr { attr, side });
+                }
+                let codec = PackedKeyCodec::new(&cards).unwrap();
+                let packer = ArenaPacker::new(&arena, &codec, &dependent, kind);
+                let n = match kind {
+                    ParamKind::Singular => snap.n_carriers(),
+                    ParamKind::Pairwise => snap.x2.n_pairs(),
+                };
+                let (a, b) = ((ends.0 * n as f64) as usize, (ends.1 * n as f64) as usize);
+                let window = a.min(b)..a.max(b);
+                let column = packer.column(window.clone());
+                let rows: Vec<u128> = window.map(|t| packer.pack(t)).collect();
+                prop_assert_eq!(&column[..], &rows[..]);
+            }
 
             #[test]
             fn cached_columns_equal_fresh_packs(

@@ -27,6 +27,7 @@ use auric_model::{AttrArena, AttrId, AttrValue, NetworkSnapshot, ParamId, ParamK
 use auric_stats::chi2::chi2_critical;
 use auric_stats::contingency::ContingencyTable;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Which endpoint of a directed pair an attribute is read from. Singular
 /// parameters only use [`Side::Src`].
@@ -79,6 +80,10 @@ struct Samples<'a> {
     /// Arena row per sample, by [`Side`]: the carrier itself for singular
     /// parameters (`Src` only), the pair's endpoints for pair-wise ones.
     rows: [Vec<u32>; 2],
+    /// The samples collapsed for marginal counting, by [`Side`]: runs of
+    /// equal `(row, value)` in sample order (`Src`) and in endpoint order
+    /// (`Dst`). See [`weighted_rows`].
+    weighted: [Vec<WeightedRow>; 2],
     candidates: Vec<PredictorAttr>,
     cards: Vec<usize>,
     arena: &'a AttrArena,
@@ -143,14 +148,83 @@ fn collect_samples<'a>(
         .iter()
         .map(|pa| snapshot.schema.cardinality(pa.attr))
         .collect();
+    let weighted = [
+        weighted_rows(&rows[0], &values, false),
+        weighted_rows(&rows[1], &values, true),
+    ];
+
     Samples {
         values,
         n_value_cols: n_value_cols as usize,
         rows,
+        weighted,
         candidates,
         cards,
         arena,
     }
+}
+
+/// A run of samples that share one arena row and one value column: a
+/// marginal test adds `weight` to one cell for all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WeightedRow {
+    row: u32,
+    value: u32,
+    weight: u32,
+}
+
+/// Collapses the samples `(rows[i], values[i])` into runs of equal
+/// `(row, value)`. Without `by_row` the runs are taken in sample order: a
+/// pair-wise scope lists pairs source by source, so source endpoints
+/// repeat in runs. With `by_row` the samples are first grouped by row (a
+/// stable counting sort over the rows' `min..=max` range), which brings a
+/// destination endpoint's pairs together. Marginal counts are integer
+/// sums, so any grouping gives the same table.
+fn weighted_rows(rows: &[u32], values: &[u32], by_row: bool) -> Vec<WeightedRow> {
+    let mut out: Vec<WeightedRow> = Vec::new();
+    if rows.is_empty() {
+        return out;
+    }
+    let mut push = |row: u32, value: u32| match out.last_mut() {
+        Some(w) if w.row == row && w.value == value => w.weight += 1,
+        _ => out.push(WeightedRow {
+            row,
+            value,
+            weight: 1,
+        }),
+    };
+    if !by_row {
+        for (&row, &value) in rows.iter().zip(values) {
+            push(row, value);
+        }
+        return out;
+    }
+    let (lo, hi) = rows
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    let n_rows = (hi - lo) as usize + 1;
+    let mut at = vec![0u32; n_rows + 1];
+    for &row in rows {
+        at[(row - lo) as usize + 1] += 1;
+    }
+    for r in 0..n_rows {
+        at[r + 1] += at[r];
+    }
+    let mut sorted = vec![0u32; rows.len()];
+    for (&row, &value) in rows.iter().zip(values) {
+        let bucket = &mut at[(row - lo) as usize];
+        sorted[*bucket as usize] = value;
+        *bucket += 1;
+    }
+    // `at[r]` is now the end of row `lo + r`'s bucket.
+    let mut start = 0;
+    for (r, &end) in at[..n_rows].iter().enumerate() {
+        for &value in &sorted[start..end as usize] {
+            push(lo + r as u32, value);
+        }
+        start = end as usize;
+    }
+    out
 }
 
 impl Samples<'_> {
@@ -179,15 +253,51 @@ impl Samples<'_> {
     }
 }
 
+/// The chi-square critical values of one selection's significance level,
+/// memoized by degrees of freedom. A critical value is a bisection of
+/// about forty CDF evaluations, and one selection's tests ask for the
+/// same degrees of freedom many times over.
+struct Critical {
+    alpha: f64,
+    by_df: HashMap<usize, f64>,
+}
+
+impl Critical {
+    fn new(alpha: f64) -> Self {
+        Self {
+            alpha,
+            by_df: HashMap::new(),
+        }
+    }
+
+    /// Whether a statistic `stat` on `df` degrees of freedom rejects
+    /// independence at `alpha`.
+    fn rejects(&mut self, stat: f64, df: usize) -> bool {
+        let alpha = self.alpha;
+        df > 0
+            && stat
+                > *self
+                    .by_df
+                    .entry(df)
+                    .or_insert_with(|| chi2_critical(df, alpha))
+    }
+}
+
 /// Marginal chi-square statistic of candidate `c` (Eq. 3 over the full
 /// contingency table), counted straight from the arena column into bare
-/// cell counts. Returns `(statistic, dependent)`.
-fn marginal_test(samples: &Samples, c: usize, alpha: f64) -> (f64, bool) {
-    let (col, rows) = samples.source(c);
+/// cell counts, one addition per [`WeightedRow`]. Returns
+/// `(statistic, dependent)`.
+fn marginal_test(samples: &Samples, c: usize, critical: &mut Critical) -> (f64, bool) {
+    let pa = samples.candidates[c];
+    let col = samples.arena.column(pa.attr);
+    let weighted = match pa.side {
+        Side::Src => &samples.weighted[0],
+        Side::Dst => &samples.weighted[1],
+    };
     let n_cols = samples.n_value_cols;
     let mut counts = vec![0u64; samples.cards[c] * n_cols];
-    for (&r, &v) in rows.iter().zip(&samples.values) {
-        counts[col[r as usize] as usize * n_cols + v as usize] += 1;
+    for w in weighted {
+        counts[col[w.row as usize] as usize * n_cols + w.value as usize] += w.weight as u64;
     }
     let table = ContingencyTable::from_counts(samples.cards[c], n_cols, counts);
     let df = table.effective_df();
@@ -195,12 +305,12 @@ fn marginal_test(samples: &Samples, c: usize, alpha: f64) -> (f64, bool) {
         return (0.0, false);
     }
     let stat = table.chi2_statistic();
-    (stat, stat > chi2_critical(df, alpha))
+    (stat, critical.rejects(stat, df))
 }
 
 /// A maximal run of equal value columns inside a stratum: the stratum's
 /// column total for `col`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Run {
     col: u32,
     len: u32,
@@ -234,6 +344,76 @@ struct Strata {
     /// `runs[run_starts[t]..run_starts[t+1]]`.
     runs: Vec<Run>,
     run_starts: Vec<u32>,
+    /// Buffers [`Strata::refine`] reuses across one selection.
+    scratch: RefineScratch,
+}
+
+/// A level's tally inside one stratum during [`Strata::refine`].
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    count: u32,
+    /// The last value column seen; samples arrive value-sorted.
+    last: u32,
+    /// Value runs seen: two or more means two distinct values.
+    n_runs: u32,
+    first_sample: u32,
+}
+
+impl Tally {
+    const BLANK: Self = Self {
+        count: 0,
+        last: u32::MAX,
+        n_runs: 0,
+        first_sample: u32::MAX,
+    };
+}
+
+/// Where a level's samples go in the refined strata: the next sample
+/// slot and run slot, and the value column of the run being written.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    at: u32,
+    run: u32,
+    last: u32,
+}
+
+impl Slot {
+    const DROPPED: Self = Self {
+        at: u32::MAX,
+        run: 0,
+        last: u32::MAX,
+    };
+}
+
+/// One new stratum, in the order refinement finds it (parent stratum,
+/// then level first seen).
+#[derive(Debug, Clone, Copy)]
+struct Sub {
+    parent: u32,
+    level: AttrValue,
+    count: u32,
+    n_runs: u32,
+}
+
+/// Refinement's buffers: per-level tallies and slots, the new strata,
+/// and the spare arrays the refined strata are written into before they
+/// swap places with the current ones.
+#[derive(Default)]
+struct RefineScratch {
+    tally: Vec<Tally>,
+    slots: Vec<Slot>,
+    seen: Vec<AttrValue>,
+    subs: Vec<Sub>,
+    /// `(first sample << 32) | sub` per new stratum, sorted into stratum
+    /// order.
+    order: Vec<u64>,
+    /// Each sub's `(sample offset, run offset)` in the refined strata.
+    dest: Vec<(u32, u32)>,
+    idx: Vec<u32>,
+    vals: Vec<u32>,
+    starts: Vec<u32>,
+    runs: Vec<Run>,
+    run_starts: Vec<u32>,
 }
 
 impl Strata {
@@ -245,6 +425,7 @@ impl Strata {
             starts: vec![0],
             runs: Vec::new(),
             run_starts: vec![0],
+            scratch: RefineScratch::default(),
         };
         if values.len() < MIN_STRATUM as usize || n_value_cols < 2 {
             return s;
@@ -262,7 +443,14 @@ impl Strata {
             at[v as usize] += 1;
         }
         s.vals = s.idx.iter().map(|&i| values[i as usize]).collect();
-        s.close_stratum();
+        for &v in &s.vals {
+            match s.runs.last_mut() {
+                Some(run) if run.col == v => run.len += 1,
+                _ => s.runs.push(Run { col: v, len: 1 }),
+            }
+        }
+        s.starts.push(s.vals.len() as u32);
+        s.run_starts.push(s.runs.len() as u32);
         s
     }
 
@@ -280,108 +468,125 @@ impl Strata {
         &self.runs[self.run_starts[t] as usize..self.run_starts[t + 1] as usize]
     }
 
-    /// Ends the stratum that runs from the last recorded start to the end
-    /// of `vals`, recording its value runs.
-    fn close_stratum(&mut self) {
-        let start = *self.starts.last().expect("starts holds a leading 0") as usize;
-        let first_run = self.runs.len();
-        for &v in &self.vals[start..] {
-            match self.runs[first_run..].last_mut() {
-                Some(run) if run.col == v => run.len += 1,
-                _ => self.runs.push(Run { col: v, len: 1 }),
-            }
-        }
-        self.starts.push(self.vals.len() as u32);
-        self.run_starts.push(self.runs.len() as u32);
-    }
-
     /// Splits every stratum by the levels of a newly admitted attribute;
     /// `levels[k]` is the level of active sample `idx[k]`, below `card`.
     ///
-    /// Each stratum is sub-partitioned through a level-indexed scratch
-    /// array: tally each level's count and its first and last value, then
-    /// scatter the samples of every level that stays active — at least
-    /// [`MIN_STRATUM`] observations, first and last value differing (the
-    /// stratum is value-sorted) — into a staging slice, keeping their
-    /// value order. The new strata are then put in first-sample order and
-    /// copied back.
+    /// Two passes over the active samples. The first tallies, per stratum
+    /// and level, the count, the number of value runs (the stratum is
+    /// value-sorted, so two runs mean two distinct values) and the first
+    /// sample; every level with at least [`MIN_STRATUM`] samples and two
+    /// runs becomes a new stratum. The new strata are sorted by first
+    /// sample, which fixes each one's sample and run offsets. The second
+    /// pass scatters every kept sample straight to its final slot, in
+    /// value order, writing the value runs as it goes.
     fn refine(&mut self, levels: &[AttrValue], card: usize) {
         debug_assert_eq!(levels.len(), self.idx.len());
-        const DROPPED: u32 = u32::MAX;
-        #[derive(Clone, Copy)]
-        struct Tally {
-            count: u32,
-            first: u32,
-            last: u32,
-            /// Next staging slot, or `DROPPED`.
-            cursor: u32,
-        }
-        let blank = Tally {
-            count: 0,
-            first: 0,
-            last: 0,
-            cursor: DROPPED,
-        };
-        let mut tally = vec![blank; card];
-        let mut seen: Vec<AttrValue> = Vec::new();
-        let mut staged_idx = vec![0u32; self.idx.len()];
-        let mut staged_vals = vec![0u32; self.idx.len()];
-        // (first sample, staging offset, length) per new stratum.
-        let mut subs: Vec<(u32, u32, u32)> = Vec::new();
-        let mut used = 0u32;
-        for t in 0..self.n_strata() {
-            let range = self.range(t);
-            let lv = &levels[range.clone()];
-            for (&l, &v) in lv.iter().zip(&self.vals[range.clone()]) {
-                let tl = &mut tally[l as usize];
+        let sc = &mut self.scratch;
+        sc.tally.clear();
+        sc.tally.resize(card, Tally::BLANK);
+        sc.slots.clear();
+        sc.slots.resize(card, Slot::DROPPED);
+        sc.subs.clear();
+        for t in 0..self.starts.len() - 1 {
+            let range = self.starts[t] as usize..self.starts[t + 1] as usize;
+            for ((&l, &v), &i) in levels[range.clone()]
+                .iter()
+                .zip(&self.vals[range.clone()])
+                .zip(&self.idx[range])
+            {
+                let tl = &mut sc.tally[l as usize];
                 if tl.count == 0 {
-                    seen.push(l);
-                    tl.first = v;
+                    sc.seen.push(l);
                 }
-                tl.last = v;
                 tl.count += 1;
+                tl.n_runs += (tl.last != v) as u32;
+                tl.last = v;
+                tl.first_sample = tl.first_sample.min(i);
             }
-            let first_sub = subs.len();
-            for &l in &seen {
-                let tl = &mut tally[l as usize];
-                if tl.count >= MIN_STRATUM && tl.first != tl.last {
-                    tl.cursor = used;
-                    subs.push((0, used, tl.count));
-                    used += tl.count;
+            for &l in &sc.seen {
+                let tl = std::mem::replace(&mut sc.tally[l as usize], Tally::BLANK);
+                if tl.count >= MIN_STRATUM && tl.n_runs >= 2 {
+                    sc.order
+                        .push(((tl.first_sample as u64) << 32) | sc.subs.len() as u64);
+                    sc.subs.push(Sub {
+                        parent: t as u32,
+                        level: l,
+                        count: tl.count,
+                        n_runs: tl.n_runs,
+                    });
                 }
             }
-            for (k, &l) in range.zip(lv) {
-                let tl = &mut tally[l as usize];
-                if tl.cursor != DROPPED {
-                    staged_idx[tl.cursor as usize] = self.idx[k];
-                    staged_vals[tl.cursor as usize] = self.vals[k];
-                    tl.cursor += 1;
+            sc.seen.clear();
+        }
+        sc.order.sort_unstable();
+
+        sc.dest.clear();
+        sc.dest.resize(sc.subs.len(), (0, 0));
+        sc.starts.clear();
+        sc.starts.push(0);
+        sc.run_starts.clear();
+        sc.run_starts.push(0);
+        let (mut at, mut run) = (0u32, 0u32);
+        for &key in &sc.order {
+            let j = key as u32 as usize;
+            sc.dest[j] = (at, run);
+            at += sc.subs[j].count;
+            run += sc.subs[j].n_runs;
+            sc.starts.push(at);
+            sc.run_starts.push(run);
+        }
+        sc.order.clear();
+        sc.idx.clear();
+        sc.idx.resize(at as usize, 0);
+        sc.vals.clear();
+        sc.vals.resize(at as usize, 0);
+        sc.runs.clear();
+        sc.runs.resize(run as usize, Run::default());
+
+        let mut j = 0;
+        for t in 0..self.starts.len() - 1 {
+            let first = j;
+            while j < sc.subs.len() && sc.subs[j].parent as usize == t {
+                let (at, run) = sc.dest[j];
+                sc.slots[sc.subs[j].level as usize] = Slot {
+                    at,
+                    run,
+                    last: u32::MAX,
+                };
+                j += 1;
+            }
+            if first == j {
+                continue;
+            }
+            let range = self.starts[t] as usize..self.starts[t + 1] as usize;
+            for ((&l, &v), &i) in levels[range.clone()]
+                .iter()
+                .zip(&self.vals[range.clone()])
+                .zip(&self.idx[range])
+            {
+                let slot = &mut sc.slots[l as usize];
+                if slot.at == u32::MAX {
+                    continue;
                 }
+                sc.idx[slot.at as usize] = i;
+                sc.vals[slot.at as usize] = v;
+                slot.at += 1;
+                if slot.last != v {
+                    slot.last = v;
+                    sc.runs[slot.run as usize] = Run { col: v, len: 0 };
+                    slot.run += 1;
+                }
+                sc.runs[slot.run as usize - 1].len += 1;
             }
-            for &l in &seen {
-                tally[l as usize] = blank;
-            }
-            seen.clear();
-            for sub in &mut subs[first_sub..] {
-                let run = sub.1 as usize..(sub.1 + sub.2) as usize;
-                sub.0 = *staged_idx[run]
-                    .iter()
-                    .min()
-                    .expect("new strata are non-empty");
+            for sub in &sc.subs[first..j] {
+                sc.slots[sub.level as usize] = Slot::DROPPED;
             }
         }
-        subs.sort_unstable_by_key(|s| s.0);
-        self.idx.clear();
-        self.vals.clear();
-        self.starts.truncate(1);
-        self.runs.clear();
-        self.run_starts.truncate(1);
-        for (_, at, len) in subs {
-            let run = at as usize..(at + len) as usize;
-            self.idx.extend_from_slice(&staged_idx[run.clone()]);
-            self.vals.extend_from_slice(&staged_vals[run]);
-            self.close_stratum();
-        }
+        std::mem::swap(&mut self.idx, &mut sc.idx);
+        std::mem::swap(&mut self.vals, &mut sc.vals);
+        std::mem::swap(&mut self.starts, &mut sc.starts);
+        std::mem::swap(&mut self.runs, &mut sc.runs);
+        std::mem::swap(&mut self.run_starts, &mut sc.run_starts);
     }
 }
 
@@ -476,8 +681,8 @@ struct Conditional {
 }
 
 impl Conditional {
-    fn dependent(&self, alpha: f64) -> bool {
-        self.df > 0 && self.stat > chi2_critical(self.df, alpha)
+    fn dependent(&self, critical: &mut Critical) -> bool {
+        critical.rejects(self.stat, self.df)
     }
 }
 
@@ -527,10 +732,10 @@ fn conditional_test(
 
 /// The marginally dependent candidates with their statistics, strongest
 /// first (ties by candidate order).
-fn ranked_candidates(samples: &Samples, alpha: f64) -> Vec<(usize, f64)> {
+fn ranked_candidates(samples: &Samples, critical: &mut Critical) -> Vec<(usize, f64)> {
     let mut ranked: Vec<(usize, f64)> = (0..samples.candidates.len())
         .filter_map(|c| {
-            let (stat, dependent) = marginal_test(samples, c, alpha);
+            let (stat, dependent) = marginal_test(samples, c, critical);
             dependent.then_some((c, stat))
         })
         .collect();
@@ -572,9 +777,10 @@ pub fn select_dependent(
     }
     let obs = opts.obs;
     obs.add("cf.dep.marginal_tests", samples.candidates.len() as u64);
+    let mut critical = Critical::new(opts.alpha);
     if opts.marginal {
         return (0..samples.candidates.len())
-            .filter(|&c| marginal_test(&samples, c, opts.alpha).1)
+            .filter(|&c| marginal_test(&samples, c, &mut critical).1)
             .map(|c| samples.candidates[c])
             .collect();
     }
@@ -583,7 +789,7 @@ pub fn select_dependent(
         "cf.dep.scratch.bytes",
         (samples.len() * std::mem::size_of::<AttrValue>()) as u64,
     );
-    let ranked = ranked_candidates(&samples, opts.alpha);
+    let ranked = ranked_candidates(&samples, &mut critical);
 
     // Greedy conditional admission. The stratification only changes when
     // a candidate is admitted, so it is refined incrementally rather than
@@ -596,7 +802,7 @@ pub fn select_dependent(
         samples.levels_at(c, &strata.idx, &mut levels);
         let admit = selected.is_empty() || {
             obs.inc("cf.dep.conditional_tests");
-            conditional_test(&samples, &levels, c, &strata).dependent(opts.alpha)
+            conditional_test(&samples, &levels, c, &strata).dependent(&mut critical)
         };
         if admit {
             selected.push(c);

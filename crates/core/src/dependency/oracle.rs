@@ -16,6 +16,7 @@
 use super::{Conditional, PredictorAttr, Side};
 use crate::scope::Scope;
 use auric_model::{AttrArena, AttrValue, NetworkSnapshot, ParamId, ParamKind};
+use auric_stats::chi2::chi2_critical;
 use auric_stats::contingency::ContingencyTable;
 use std::collections::HashMap;
 
@@ -260,7 +261,8 @@ fn select(
             true
         } else {
             obs.inc("cf.dep.conditional_tests");
-            conditional_test(&samples, &levels, c, &strata).dependent(alpha)
+            let test = conditional_test(&samples, &levels, c, &strata);
+            test.df > 0 && test.stat > chi2_critical(test.df, alpha)
         };
         if admit {
             strata.refine(&levels);
@@ -294,8 +296,8 @@ fn select_marginal(
 mod tests {
     use super::super::{
         collect_samples as fast_samples, conditional_test as fast_conditional,
-        marginal_test as fast_marginal, ranked_candidates, select_dependent, SelectOptions,
-        Strata as FastStrata,
+        marginal_test as fast_marginal, ranked_candidates, select_dependent, Critical,
+        SelectOptions, Strata as FastStrata,
     };
     use super::*;
     use auric_model::{AttrId, CarrierId, Provenance};
@@ -333,14 +335,15 @@ mod tests {
             return Ok(());
         }
         let mut slow_levels = Vec::new();
+        let mut critical = Critical::new(alpha);
         for c in 0..slow.candidates.len() {
             slow.levels_into(c, &mut slow_levels);
             let (s, d) = marginal_test(&slow, &slow_levels, c, alpha);
-            let (f, e) = fast_marginal(&fast, c, alpha);
+            let (f, e) = fast_marginal(&fast, c, &mut critical);
             prop_assert_eq!((f.to_bits(), e), (s.to_bits(), d), "marginal {}", c);
         }
 
-        let ranked = ranked_candidates(&fast, alpha);
+        let ranked = ranked_candidates(&fast, &mut critical);
         let mut fast_strata = FastStrata::root(&fast.values, fast.n_value_cols);
         let mut slow_strata = Strata::root(slow.len());
         same_strata(&fast_strata, &slow_strata, &slow_values)?;
@@ -358,7 +361,7 @@ mod tests {
                 c,
                 n_selected
             );
-            if n_selected == 0 || f.dependent(alpha) {
+            if n_selected == 0 || f.dependent(&mut critical) {
                 n_selected += 1;
                 fast_strata.refine(&levels, fast.cards[c]);
                 slow_strata.refine(&slow_levels);
@@ -573,6 +576,126 @@ mod tests {
                 lockstep(&arena, &snap, &scope, p, alpha)?;
                 end_to_end(&arena, &snap, &scope, p, alpha)?;
             }
+        }
+    }
+
+    /// The tiny snapshot with every attribute at level 0 except the two
+    /// of largest cardinality, `a` and `b`, whose levels come from
+    /// `levels(c)`; the first singular parameter takes `value(c)`. The
+    /// scope is `scope`'s carriers.
+    fn crafted(
+        levels: impl Fn(usize) -> (u16, u16),
+        value: impl Fn(usize) -> u16,
+        scope: std::ops::Range<usize>,
+    ) -> (NetworkSnapshot, ParamId, Scope, [AttrId; 2]) {
+        let mut snap = tiny().clone();
+        let mut by_card: Vec<AttrId> = snap.schema.attr_ids().collect();
+        by_card.sort_by_key(|&a| std::cmp::Reverse(snap.schema.cardinality(a)));
+        let (a, b) = (by_card[0], by_card[1]);
+        assert!(snap.schema.cardinality(b) >= 3);
+        for (c, carrier) in snap.carriers.iter_mut().enumerate() {
+            for attr in &by_card {
+                carrier.attrs.set(*attr, 0);
+            }
+            let (la, lb) = levels(c);
+            carrier.attrs.set(a, la);
+            carrier.attrs.set(b, lb);
+        }
+        let p = snap.catalog.singular_ids().next().unwrap();
+        for c in 0..snap.n_carriers() {
+            let id = CarrierId::from_index(c);
+            snap.config.set_value(p, id, value(c), Provenance::Rule);
+        }
+        assert!(scope.end <= snap.n_carriers());
+        let scope = Scope {
+            carriers: scope.map(CarrierId::from_index).collect(),
+            pairs: Vec::new(),
+        };
+        (snap, p, scope, [a, b])
+    }
+
+    /// Refines the root strata of `p` over `scope` by each attribute of
+    /// `by` in turn, through the production kernels.
+    fn refined(
+        arena: &AttrArena,
+        snap: &NetworkSnapshot,
+        scope: &Scope,
+        p: ParamId,
+        by: &[AttrId],
+    ) -> FastStrata {
+        let fast = fast_samples(arena, snap, scope, p);
+        let mut strata = FastStrata::root(&fast.values, fast.n_value_cols);
+        let mut levels = Vec::new();
+        for &attr in by {
+            let c = fast
+                .candidates
+                .iter()
+                .position(|pa| pa.attr == attr)
+                .unwrap();
+            fast.levels_at(c, &strata.idx, &mut levels);
+            strata.refine(&levels, fast.cards[c]);
+        }
+        strata
+    }
+
+    /// Two attributes that alternate with the carrier index: `a` splits
+    /// the scope into even and odd carriers, then `b` splits each half,
+    /// so the new strata's first samples are 0, 1, 2, 3 and alternate
+    /// between the two parent strata. Refinement must order them by first
+    /// sample, across parents, exactly as the dense oracle does.
+    #[test]
+    fn refinement_orders_new_strata_across_parent_strata() {
+        let (snap, p, scope, [a, b]) = crafted(
+            |c| ((c % 2) as u16, (c / 2 % 2) as u16),
+            |c| (10 + 2 * (c % 2) + 4 * (c / 2 % 2) + c / 4 % 2) as u16,
+            0..tiny().n_carriers(),
+        );
+        let arena = AttrArena::from_snapshot(&snap);
+        let strata = refined(&arena, &snap, &scope, p, &[a, b]);
+        let firsts: Vec<u32> = (0..strata.n_strata())
+            .map(|t| *strata.idx[strata.range(t)].iter().min().unwrap())
+            .collect();
+        assert_eq!(firsts, [0, 1, 2, 3]);
+        // Both are admitted, so the lockstep walk below compares the
+        // second refinement with the oracle's too.
+        let obs = Recorder::disabled();
+        let opts = SelectOptions {
+            alpha: 0.01,
+            marginal: false,
+            obs: &obs,
+        };
+        assert_eq!(select_dependent(&arena, &snap, &scope, p, &opts).len(), 2);
+        for alpha in ALPHAS {
+            lockstep(&arena, &snap, &scope, p, alpha).unwrap();
+            end_to_end(&arena, &snap, &scope, p, alpha).unwrap();
+        }
+    }
+
+    /// A split that leaves exactly `MIN_STRATUM` samples keeps that
+    /// stratum, and one that leaves one fewer drops it: `a` puts carriers
+    /// 0..5 on level 0, 5..9 on level 1 and the rest of the scope on
+    /// level 2, each with two values.
+    #[test]
+    fn refinement_keeps_a_split_of_exactly_min_stratum_samples() {
+        let level = |c: usize| match c {
+            0..5 => 0,
+            5..9 => 1,
+            _ => 2,
+        };
+        let (snap, p, scope, [a, _]) = crafted(
+            |c| (level(c), 0),
+            |c| (1 + 2 * level(c) as usize + c % 2) as u16,
+            0..40,
+        );
+        let arena = AttrArena::from_snapshot(&snap);
+        let strata = refined(&arena, &snap, &scope, p, &[a]);
+        let sizes: Vec<usize> = (0..strata.n_strata())
+            .map(|t| strata.range(t).len())
+            .collect();
+        assert_eq!(sizes, [super::super::MIN_STRATUM as usize, 31]);
+        for alpha in ALPHAS {
+            lockstep(&arena, &snap, &scope, p, alpha).unwrap();
+            end_to_end(&arena, &snap, &scope, p, alpha).unwrap();
         }
     }
 

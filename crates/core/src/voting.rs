@@ -23,7 +23,10 @@
 
 use auric_model::{AttrValue, ValueIdx};
 use auric_stats::freq::FreqTable;
-use auric_stats::packed::{FastHash, PackedKeyCodec};
+#[cfg(test)]
+use auric_stats::packed::FastHash;
+use auric_stats::packed::PackedKeyCodec;
+#[cfg(test)]
 use std::collections::HashMap;
 
 /// An unpacked group key: the target's levels on the dependent attributes,
@@ -94,7 +97,86 @@ pub struct VoteTables {
 impl VoteTables {
     /// Builds the tables from one `(packed key, value)` observation per
     /// in-scope target.
-    pub fn from_observations(observations: impl IntoIterator<Item = (u128, ValueIdx)>) -> Self {
+    ///
+    /// The observations are sorted, not hashed: a first pass finds the
+    /// key bits that vary across them and the value histogram (which is
+    /// `overall`). When the varying key bits and the value bits fit 64, a
+    /// second pass packs each observation into one `u64` word, the key
+    /// bits above the value bits, so word order is `(key, value)` order,
+    /// and radix-sorts the words; otherwise the `(key, value)` pairs are
+    /// sorted as they are. Each run of one key becomes a group whose
+    /// table is built in ascending value order.
+    pub fn from_observations<I>(observations: I) -> Self
+    where
+        I: IntoIterator<Item = (u128, ValueIdx)>,
+        I::IntoIter: Clone,
+    {
+        let observations = observations.into_iter();
+        let (mut or, mut and) = (0u128, u128::MAX);
+        let (mut value_or, mut value_and) = (0u16, u16::MAX);
+        let mut histogram: Vec<usize> = Vec::new();
+        for (key, value) in observations.clone() {
+            or |= key;
+            and &= key;
+            value_or |= value;
+            value_and &= value;
+            if histogram.len() <= value as usize {
+                histogram.resize(value as usize + 1, 0);
+            }
+            histogram[value as usize] += 1;
+        }
+        let mut overall = FreqTable::new();
+        for (value, &count) in histogram.iter().enumerate() {
+            overall.add_count(value as ValueIdx, count);
+        }
+        if histogram.is_empty() {
+            return Self {
+                groups: Vec::new(),
+                overall,
+            };
+        }
+        // The key bits in `lo..lo + span` vary; every other bit is the
+        // same in every key (`fixed`).
+        let varying = or ^ and;
+        let (lo, span) = match varying {
+            0 => (0, 0),
+            _ => {
+                let lo = varying.trailing_zeros();
+                (lo, u128::BITS - varying.leading_zeros() - lo)
+            }
+        };
+        let span_mask = low_bits(span) << lo;
+        let fixed = and & !span_mask;
+        let value_bits = u16::BITS - value_or.leading_zeros();
+        let groups = if span + value_bits <= u64::BITS {
+            let mut words: Vec<u64> = observations
+                .map(|(key, value)| {
+                    ((((key & span_mask) >> lo) as u64) << value_bits) | value as u64
+                })
+                .collect();
+            let word_varying =
+                ((varying >> lo) as u64) << value_bits | (value_or ^ value_and) as u64;
+            radix_sort(&mut words, word_varying);
+            let value_mask = low_bits(value_bits) as u64;
+            group_sorted(
+                &words,
+                |w| w >> value_bits,
+                |bits| fixed | ((bits as u128) << lo),
+                |w| (w & value_mask) as ValueIdx,
+            )
+        } else {
+            let mut pairs: Vec<(u128, ValueIdx)> = observations.collect();
+            pairs.sort_unstable();
+            group_sorted(&pairs, |(key, _)| key, |key| key, |(_, value)| value)
+        };
+        Self { groups, overall }
+    }
+
+    /// The table build [`VoteTables::from_observations`] replaced: one
+    /// hash-map entry per group, then a sort by key. Kept as the oracle
+    /// the sorted build is tested against.
+    #[cfg(test)]
+    fn from_observations_hashed(observations: impl IntoIterator<Item = (u128, ValueIdx)>) -> Self {
         let mut map: HashMap<u128, FreqTable, FastHash> = HashMap::default();
         let mut overall = FreqTable::new();
         for (key, value) in observations {
@@ -251,6 +333,87 @@ impl VoteTables {
         }
         Ok(Self { groups, overall })
     }
+}
+
+/// The low `bits` bits set.
+fn low_bits(bits: u32) -> u128 {
+    if bits >= u128::BITS {
+        u128::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
+
+/// Sorts `words` ascending, given the bits that vary across them (every
+/// other bit is equal in every word). A least-significant-digit radix
+/// sort with 8-bit digits, one digit per window of varying bits; windows
+/// holding no varying bit are skipped. Short inputs use a comparison sort.
+fn radix_sort(words: &mut Vec<u64>, varying: u64) {
+    if words.len() <= 256 {
+        words.sort_unstable();
+        return;
+    }
+    let mut shifts: Vec<u32> = Vec::new();
+    let mut rest = varying;
+    while rest != 0 {
+        let shift = rest.trailing_zeros();
+        shifts.push(shift);
+        rest &= !(0xFF << shift);
+    }
+    let mut counts = vec![[0u32; 256]; shifts.len()];
+    for &w in words.iter() {
+        for (count, &shift) in counts.iter_mut().zip(&shifts) {
+            count[(w >> shift) as u8 as usize] += 1;
+        }
+    }
+    let mut spare = vec![0; words.len()];
+    for (count, &shift) in counts.iter().zip(&shifts) {
+        let mut at = [0u32; 256];
+        let mut sum = 0;
+        for (slot, &c) in at.iter_mut().zip(count) {
+            *slot = sum;
+            sum += c;
+        }
+        for &w in words.iter() {
+            let b = (w >> shift) as u8 as usize;
+            spare[at[b] as usize] = w;
+            at[b] += 1;
+        }
+        std::mem::swap(words, &mut spare);
+    }
+}
+
+/// The groups of sorted observations: each run of one key becomes a
+/// group whose table adds each value's run in ascending value order.
+/// `key` reads the part of an observation that tells groups apart,
+/// `full_key` turns it into the packed key, and `value` reads the value.
+fn group_sorted<W: Copy + PartialEq, K: Copy + PartialEq>(
+    sorted: &[W],
+    key: impl Fn(W) -> K,
+    full_key: impl Fn(K) -> u128,
+    value: impl Fn(W) -> ValueIdx,
+) -> Vec<(u128, FreqTable)> {
+    let n_groups = 1 + sorted
+        .windows(2)
+        .filter(|pair| key(pair[0]) != key(pair[1]))
+        .count();
+    let mut groups: Vec<(u128, FreqTable)> = Vec::with_capacity(n_groups);
+    let mut i = 0;
+    while i < sorted.len() {
+        let group = key(sorted[i]);
+        let mut table = FreqTable::new();
+        loop {
+            let word = sorted[i];
+            let run = 1 + sorted[i + 1..].iter().take_while(|&&w| w == word).count();
+            table.add_count(value(word), run);
+            i += run;
+            if i == sorted.len() || key(sorted[i]) != group {
+                break;
+            }
+        }
+        groups.push((full_key(group), table));
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -418,6 +581,120 @@ mod tests {
         // A prefix nothing was recorded under aggregates nothing.
         let miss = codec.pack(&[1, 0]);
         assert_eq!(t.prefix_aggregate(&codec, miss, 1), None);
+    }
+
+    /// Builds through both paths and requires equal tables: the same
+    /// groups in the same order, equal `FreqTable`s with the same number
+    /// of distinct values (so the same inline or spilled form), and the
+    /// same `overall`.
+    fn assert_matches_hashed(observations: &[(u128, u16)]) {
+        let sorted = VoteTables::from_observations(observations.iter().copied());
+        let hashed = VoteTables::from_observations_hashed(observations.iter().copied());
+        assert_eq!(sorted, hashed);
+        for ((k, a), (l, b)) in sorted.groups.iter().zip(&hashed.groups) {
+            assert_eq!((k, a.distinct(), a.total()), (l, b.distinct(), b.total()));
+        }
+        assert_eq!(sorted.overall.distinct(), hashed.overall.distinct());
+    }
+
+    /// Both sort paths: keys whose varying bits plus the value bits fit
+    /// 64 (the radix sort) and exceed it (the pair sort), each above and
+    /// below the radix sort's comparison-sort cutoff, with groups of up to
+    /// five values.
+    #[test]
+    fn both_sort_paths_match_the_hashed_build() {
+        for (key_bits, n) in [(20, 100), (20, 3000), (100, 100), (100, 3000), (128, 3000)] {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let pool: Vec<u128> = (0..n / 3)
+                .map(|_| (((next() as u128) << 64) | next() as u128) & !low_bits(128 - key_bits))
+                .collect();
+            let observations: Vec<(u128, u16)> = (0..n)
+                .map(|_| {
+                    let key = pool[next() as usize % pool.len()];
+                    (key, [0, 7, 9, 300, u16::MAX][next() as usize % 5])
+                })
+                .collect();
+            assert_matches_hashed(&observations);
+        }
+        assert_matches_hashed(&[]);
+        assert_matches_hashed(&[(5, 1)]);
+        assert_matches_hashed(&[(5, 0); 400]);
+    }
+
+    mod sorted_build_differential {
+        //! Differential proptests: the sorted table build equals the
+        //! hash-map build on key streams the generator never produces.
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A layout from raw cardinalities, keeping the leading positions
+        /// that fit 128 bits. `wide` picks each position's range: small
+        /// cardinalities, or any `u16` up to 16-bit fields, so layouts run
+        /// from a few bits to the full 128.
+        fn layout(raw: &[(u16, bool)]) -> PackedKeyCodec {
+            let mut cards = Vec::new();
+            let mut bits = 0;
+            for &(c, wide) in raw {
+                let card = if wide { c.max(1) } else { c % 7 + 1 };
+                let width = (u16::BITS - card.leading_zeros()).max(1);
+                if bits + width > 128 {
+                    break;
+                }
+                bits += width;
+                cards.push(card);
+            }
+            PackedKeyCodec::new(&cards).unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Levels run up to two past each cardinality, so some clamp
+            /// to the sentinel; keys repeat from a pool, and values come
+            /// from a palette of up to six, so groups spill past the
+            /// inline three.
+            #[test]
+            fn sorted_build_matches_the_hashed_build(
+                raw_layout in collection::vec((0u16..=u16::MAX, 0u8..2), 0..10),
+                raw_keys in collection::vec(collection::vec(0u32..=u32::MAX, 10..11), 1..40),
+                palette in collection::vec(0u16..=u16::MAX, 1..7),
+                draws in collection::vec((0usize..1000, 0usize..1000), 0..700),
+            ) {
+                let raw_layout: Vec<(u16, bool)> =
+                    raw_layout.iter().map(|&(c, w)| (c, w == 1)).collect();
+                let codec = layout(&raw_layout);
+                let n = codec.cards().len();
+                let keys: Vec<u128> = raw_keys
+                    .iter()
+                    .map(|raw| {
+                        let levels: Vec<u16> = codec
+                            .cards()
+                            .iter()
+                            .zip(raw)
+                            .map(|(&card, &r)| (r % (card as u32 + 2)) as u16)
+                            .collect();
+                        codec.pack(&levels[..n])
+                    })
+                    .collect();
+                let observations: Vec<(u128, u16)> = draws
+                    .iter()
+                    .map(|&(k, v)| (keys[k % keys.len()], palette[v % palette.len()]))
+                    .collect();
+                let sorted = VoteTables::from_observations(observations.iter().copied());
+                let hashed = VoteTables::from_observations_hashed(observations.iter().copied());
+                prop_assert_eq!(&sorted, &hashed);
+                for ((k, a), (l, b)) in sorted.groups.iter().zip(&hashed.groups) {
+                    prop_assert_eq!((k, a.distinct(), a.total()), (l, b.distinct(), b.total()));
+                }
+                prop_assert_eq!(sorted.overall.distinct(), hashed.overall.distinct());
+            }
+        }
     }
 
     mod prefix_differential {

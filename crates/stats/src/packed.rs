@@ -143,6 +143,23 @@ impl PackedKeyCodec {
         key
     }
 
+    /// ORs position `i`'s levels into `keys`, clamped as by
+    /// [`PackedKeyCodec::pack`]: packing a column of keys one position at
+    /// a time. Keys start at 0; after every position is ORed in, each key
+    /// equals `pack` of its levels.
+    #[inline]
+    pub fn pack_position(
+        &self,
+        i: usize,
+        keys: &mut [u128],
+        levels: impl IntoIterator<Item = u16>,
+    ) {
+        let (card, shift) = (self.cards[i], self.shifts[i]);
+        for (key, v) in keys.iter_mut().zip(levels) {
+            *key |= (v.min(card) as u128) << shift;
+        }
+    }
+
     /// Unpacks the first `len` positions of a packed key.
     pub fn unpack(&self, key: u128, len: usize) -> Vec<u16> {
         debug_assert!(len <= self.cards.len());
