@@ -16,11 +16,13 @@
 //! Run with `cargo run --release -p auric-bench --bin bench_scale --
 //! [tiny|medium|paper]` (default `paper`); debug builds are rejected.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use auric_core::{CfConfig, CfModel, DeltaApply, FitOptions, Scope, SharedKeyColumns};
+use auric_core::accuracy::evaluate_param;
+use auric_core::{
+    parallel_map, AccuracyReport, CfConfig, CfModel, DeltaApply, FitOptions, Scope,
+    SharedKeyColumns,
+};
 use auric_model::{
     apply_fleet_deltas, empty_snapshot, AttrArena, DeltaSlot, FleetDelta, NetworkSnapshot, ParamId,
     Provenance,
@@ -84,43 +86,23 @@ fn peak_rss_mb() -> f64 {
     0.0
 }
 
-/// Leave-one-out accuracy over every singular parameter at every carrier,
-/// on the global (key-column) path. Work-steals whole parameters across
-/// `workers` threads; returns `(per-param (correct, total), micro, macro)`.
+/// Leave-one-out accuracy over every singular parameter at every carrier
+/// of `scope`, on the global (key-column) path: `evaluate_param(..,
+/// local = false)` per parameter, spread over `parallel_map`'s
+/// `fit_worker_threads` threads. Returns the per-parameter accuracies,
+/// micro and macro.
 fn singular_global_loo(
     snap: &NetworkSnapshot,
+    scope: &Scope,
     model: &CfModel,
-    workers: usize,
-) -> (Vec<(ParamId, usize, usize)>, f64, f64) {
+) -> (AccuracyReport, f64, f64) {
     let params: Vec<ParamId> = snap.catalog.singular_ids().collect();
-    let next = AtomicUsize::new(0);
-    let rows = Mutex::new(Vec::with_capacity(params.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&p) = params.get(i) else { break };
-                let mut correct = 0usize;
-                for c in &snap.carriers {
-                    let current = snap.config.value(p, c.id);
-                    let rec = model.recommend_global_for_carrier(snap, p, c.id, Some(current));
-                    correct += usize::from(rec.value == current);
-                }
-                rows.lock().unwrap().push((p, correct, snap.n_carriers()));
-            });
-        }
+    let per_param = parallel_map(params.len(), |i| {
+        evaluate_param(snap, scope, model, params[i], false)
     });
-    let mut rows = rows.into_inner().unwrap();
-    rows.sort_by_key(|&(p, _, _)| p);
-    let correct: usize = rows.iter().map(|r| r.1).sum();
-    let total: usize = rows.iter().map(|r| r.2).sum();
-    let micro = correct as f64 / total.max(1) as f64;
-    let macro_ = rows
-        .iter()
-        .map(|&(_, c, t)| c as f64 / t.max(1) as f64)
-        .sum::<f64>()
-        / rows.len().max(1) as f64;
-    (rows, micro, macro_)
+    let report = AccuracyReport { per_param };
+    let (micro, macro_) = (report.micro_accuracy(), report.macro_accuracy());
+    (report, micro, macro_)
 }
 
 fn main() {
@@ -217,11 +199,10 @@ fn main() {
     eprintln!("bench_scale: singular LoO sweep ({loo_workers} workers)...");
     reset_peak_rss();
     let t0 = Instant::now();
-    let (rows, micro, macro_) = singular_global_loo(snap, &model, loo_workers);
+    let (loo, micro, macro_) = singular_global_loo(snap, &scope, &model);
     let loo_s = t0.elapsed().as_secs_f64();
     let loo_rss_mb = peak_rss_mb();
     peak_mb = peak_mb.max(loo_rss_mb);
-    let evaluated: usize = rows.iter().map(|r| r.2).sum();
 
     // ---- Streaming ingestion: absorb the fleet as a delta stream ----
     // Replays the generator batch-by-batch from the empty fleet through
@@ -363,8 +344,8 @@ fn main() {
             "threads": loo_workers,
             "wall_s": loo_s,
             "peak_rss_mb": loo_rss_mb,
-            "n_params": rows.len(),
-            "evaluated_values": evaluated,
+            "n_params": loo.per_param.len(),
+            "evaluated_values": loo.total_values(),
             "micro_accuracy": micro,
             "macro_accuracy": macro_,
         }),
@@ -400,6 +381,27 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use auric_model::ParamKind;
+
+    #[test]
+    fn singular_loo_matches_the_singular_rows_of_evaluate_cf() {
+        let net = generate(&NetScale::tiny(), &TuningKnobs::default());
+        let snap = &net.snapshot;
+        let scope = Scope::whole(snap);
+        let model = CfModel::fit(snap, &scope, CfConfig::default());
+        let (loo, micro, macro_) = singular_global_loo(snap, &scope, &model);
+        let singular = AccuracyReport {
+            per_param: auric_core::evaluate_cf(snap, &scope, &model, false)
+                .per_param
+                .into_iter()
+                .filter(|a| snap.catalog.def(a.param).kind == ParamKind::Singular)
+                .collect(),
+        };
+        assert_eq!(loo, singular);
+        assert_eq!(loo.total_values(), 39 * snap.n_carriers());
+        assert_eq!(micro, singular.micro_accuracy());
+        assert_eq!(macro_, singular.macro_accuracy());
+    }
 
     #[test]
     fn a_failed_reset_leaves_the_budget_unmeasured() {

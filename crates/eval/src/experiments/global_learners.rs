@@ -10,7 +10,7 @@
 use crate::experiments::{distinct_in_scope, network};
 use crate::render::{pct, TextTable};
 use crate::{ExpOutput, RunOptions};
-use auric_core::datasets::dataset_for_param;
+use auric_core::datasets::dataset_for_param_in;
 use auric_core::{evaluate_cf, parallel_map, CfConfig, CfModel, Scope};
 use auric_learners::{
     cross_val_accuracy, Classifier, Dataset, DecisionTree, KnnClassifier, MlpClassifier, Model,
@@ -135,6 +135,7 @@ pub fn run_global_learners_filtered(
 ) -> Vec<MarketResult> {
     let net = network(opts, NetScale::small());
     let snap = &net.snapshot;
+    let arena = net.arena();
 
     // One market per timezone, as in Table 3.
     let mut picks = Vec::new();
@@ -167,7 +168,10 @@ pub fn run_global_learners_filtered(
             let rows = parallel_map(param_ids.len(), |i| {
                 let param = param_ids[i];
                 let pi = param.index();
-                let data = subsample(dataset_for_param(snap, &scope, param), CLASSIC_ROW_BUDGET);
+                let data = subsample(
+                    dataset_for_param_in(&arena, snap, &scope, param),
+                    CLASSIC_ROW_BUDGET,
+                );
                 let learners = classic_learners();
                 let mut accuracy = [0.0; 5];
                 for (li, learner) in learners.iter().enumerate() {

@@ -47,38 +47,11 @@ pub fn generate(scale: &NetScale, knobs: &TuningKnobs) -> GeneratedNetwork {
     let topo = topology::build(scale, &schema);
     let rules = rules::generate_rules(&catalog, scale.seed ^ 0x5EED_0F0F);
     let mut config = tuning::apply_rules(&topo, &catalog, &rules);
-    let pockets = tuning::apply_pockets(
-        &mut config,
-        &topo,
-        &catalog,
-        &rules,
-        knobs,
-        scale.seed ^ 0x01,
-    );
-    tuning::apply_stale_trials(
-        &mut config,
-        &topo,
-        &catalog,
-        &rules,
-        knobs,
-        scale.seed ^ 0x02,
-    );
-    tuning::apply_live_trials(
-        &mut config,
-        &topo,
-        &catalog,
-        &rules,
-        knobs,
-        scale.seed ^ 0x03,
-    );
-    tuning::apply_noise(
-        &mut config,
-        &topo,
-        &catalog,
-        &rules,
-        knobs,
-        scale.seed ^ 0x04,
-    );
+    let [pockets_seed, stale_seed, live_seed, noise_seed] = pass_seeds(scale.seed);
+    let pockets = tuning::apply_pockets(&mut config, &topo, &catalog, &rules, knobs, pockets_seed);
+    tuning::apply_stale_trials(&mut config, &topo, &catalog, &rules, knobs, stale_seed);
+    tuning::apply_live_trials(&mut config, &topo, &catalog, &rules, knobs, live_seed);
+    tuning::apply_noise(&mut config, &topo, &catalog, &rules, knobs, noise_seed);
 
     let snapshot = NetworkSnapshot {
         schema,
@@ -96,6 +69,12 @@ pub fn generate(scale: &NetScale, knobs: &TuningKnobs) -> GeneratedNetwork {
         snapshot,
         truth: GroundTruth { rules, pockets },
     }
+}
+
+/// The seeds [`generate`] hands the pockets, stale-trial, live-trial and
+/// noise passes.
+pub(crate) fn pass_seeds(seed: u64) -> [u64; 4] {
+    [seed ^ 0x01, seed ^ 0x02, seed ^ 0x03, seed ^ 0x04]
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Streaming fleet generation: the same fleet as [`crate::generate`],
-//! emitted as an ordered sequence of [`FleetDelta`] events without ever
-//! materializing the whole snapshot.
+//! emitted as an ordered sequence of [`FleetDelta`] events in natural
+//! batches — one market's build, then one parameter's retunes.
 //!
 //! Collected into an empty snapshot (via
 //! [`auric_model::apply_fleet_deltas`]), the event sequence reproduces
@@ -10,93 +10,50 @@
 //!
 //! ## How the replay works
 //!
-//! `generate()` runs five global passes (topology, rules, pockets, stale
-//! trials, live trials, noise), each drawing from its own seeded RNG.
-//! The stream re-cuts those passes along boundaries that bound memory:
+//! [`stream`] builds the topology and the latent-rule configuration once,
+//! exactly as `generate()` does, and keeps both. It then replays
+//! `generate()`'s four tuning passes through the very bodies `generate()`
+//! runs ([`crate::tuning`]), each from an RNG seeded as `generate()` seeds
+//! it, with a writer that both sets the kept configuration and records
+//! each write as a [`FleetDelta::Retune`]:
 //!
-//! - **Phase A — one market at a time.** Topology is already a
-//!   per-market RNG stream ([`crate::topology::build_market`]), X2 edges
-//!   never cross market lines, and the dynamic attributes are in-market
-//!   functions, so market `m` can be built, attribute-filled, emitted and
-//!   dropped. `apply_pockets` iterates markets in order from one RNG, so
-//!   market `m`'s pocket draws happen inline with a persistent RNG and
-//!   the stream's draw sequence equals the batch pass's.
-//! - **Phase B — one parameter at a time.** The stale/live/noise passes
-//!   each iterate parameters in catalog order from their own RNG; running
-//!   `stale(p); live(p); noise(p)` per parameter with three persistent
-//!   RNGs preserves each pass's exact draw sequence, and per-slot write
-//!   order (rule < pocket < stale < live < noise) is preserved because
-//!   the three sub-passes only touch parameter `p`'s slots.
-//!
-//! The noise pass must know each hit slot's *current* value. The stream
-//! never holds a configuration, so it reconstructs it: last write wins
-//! among this parameter's live hits, stale hits, pocket overrides (a
-//! small map kept from Phase A) and the latent-rule value (recomputed
-//! from the carrier's attributes). Carrier attributes come from an
-//! LRU-1 market cache that deterministically regenerates one market at a
-//! time — slot iteration is in market order, so each pass re-derives a
-//! market at most once plus one random market for the live trial.
+//! - **Phase A — one market at a time.** The market's adds come from the
+//!   built topology; their base values are the configuration's rule
+//!   values. Then the market's pocket body runs. The pocket pass visits
+//!   markets in order from one RNG and only writes the market's own
+//!   slots, so this is the batch pass's draw and write sequence.
+//! - **Phase B — one parameter at a time.** `stale(p)`, `live(p)`,
+//!   `noise(p)`. Each pass visits parameters in catalog order from its own
+//!   RNG, so three persistent RNGs keep every pass's draw sequence, and a
+//!   body only touches parameter `p`'s slots, so each slot sees its writes
+//!   in `generate()`'s order (rule < pocket < stale < live < noise). Noise
+//!   reads the slot's current value from the kept configuration, as it
+//!   does in `generate()`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::generator::{GeneratedNetwork, GroundTruth};
 use crate::names;
 use crate::rules::{generate_rules, LatentRule};
 use crate::scale::{NetScale, TuningKnobs};
-use crate::topology;
-use crate::tuning::{self, Pocket};
-use auric_model::delta::{apply_fleet_deltas, empty_snapshot, DeltaSlot, FleetDelta};
-use auric_model::{
-    AttributeSchema, Band, Carrier, CarrierId, Enodeb, Morphology, PairIdx, ParamCatalog, ParamId,
-    ParamKind, Provenance, ValueIdx, X2Graph,
-};
-use rand::{RngExt, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-/// Where one market's entities live in the global id spaces. Markets are
-/// contiguous ranges of carrier ids, and the global X2 CSR is the
-/// concatenation of the per-market CSRs (edges never cross markets), so
-/// pair ids are contiguous per market too.
-#[derive(Debug, Clone, Copy)]
-struct MarketMeta {
-    enb_base: usize,
-    n_enbs: usize,
-    carrier_base: usize,
-    n_carriers: usize,
-    pair_base: usize,
-    n_pairs: usize,
-}
-
-/// One regenerated market: enough to answer attribute, rule-value and
-/// pair-endpoint queries.
-struct MarketData {
-    enodebs: Vec<Enodeb>,
-    /// Carriers with final (dynamic-filled) attributes, global ids.
-    carriers: Vec<Carrier>,
-    /// Market-local X2 graph (indices offset by `carrier_base`).
-    x2: X2Graph,
-}
+use crate::topology::{self, Topology};
+use crate::tuning::{self, PassRngs, Passes, Pocket, Writer};
+use auric_model::delta::{apply_fleet_deltas, empty_snapshot, FleetDelta};
+use auric_model::{AttributeSchema, Configuration, ParamCatalog, ParamId};
 
 /// A deterministic iterator of [`FleetDelta`] events reproducing
-/// `generate(scale, knobs)` without holding the fleet. See the module
-/// docs; create with [`stream`].
+/// `generate(scale, knobs)`. See the module docs; create with [`stream`].
 pub struct FleetStream {
-    scale: NetScale,
     knobs: TuningKnobs,
     schema: AttributeSchema,
     catalog: ParamCatalog,
     rules: Vec<LatentRule>,
-    pockets_rng: ChaCha8Rng,
-    stale_rng: ChaCha8Rng,
-    live_rng: ChaCha8Rng,
-    noise_rng: ChaCha8Rng,
-    meta: Vec<MarketMeta>,
+    topo: Topology,
+    /// The configuration as the passes replayed so far left it.
+    config: Configuration,
+    rngs: PassRngs,
     /// Ground-truth pockets emitted so far (for [`Self::collect_network`]).
     pockets: Vec<Pocket>,
-    /// Pocket overrides by slot, kept for noise-pass value reconstruction.
-    pocket_sing: HashMap<(ParamId, CarrierId), ValueIdx>,
-    pocket_pair: HashMap<(ParamId, PairIdx), ValueIdx>,
-    cache: Option<(usize, MarketData)>,
     queue: VecDeque<FleetDelta>,
     next_market: usize,
     next_param: usize,
@@ -106,31 +63,20 @@ pub struct FleetStream {
 /// ⇒ identical event sequence; collected, byte-identical to the batch
 /// generator.
 pub fn stream(scale: &NetScale, knobs: &TuningKnobs) -> FleetStream {
-    assert!(scale.n_markets > 0, "need at least one market");
-    assert!(
-        scale.enbs_per_market >= 2,
-        "need at least two eNodeBs per market"
-    );
     let schema = names::build_schema(scale.n_markets);
     let catalog = ParamCatalog::standard();
+    let topo = topology::build(scale, &schema);
     let rules = generate_rules(&catalog, scale.seed ^ 0x5EED_0F0F);
+    let config = tuning::apply_rules(&topo, &catalog, &rules);
     FleetStream {
-        scale: *scale,
         knobs: *knobs,
         schema,
         catalog,
         rules,
-        // Same seeds as generate()'s pass calls, including each pass's
-        // internal XOR constant.
-        pockets_rng: ChaCha8Rng::seed_from_u64((scale.seed ^ 0x01) ^ 0xB0C4_E75A),
-        stale_rng: ChaCha8Rng::seed_from_u64((scale.seed ^ 0x02) ^ 0x57A1_E7A1),
-        live_rng: ChaCha8Rng::seed_from_u64((scale.seed ^ 0x03) ^ 0x11FE_77AB),
-        noise_rng: ChaCha8Rng::seed_from_u64((scale.seed ^ 0x04) ^ 0x0D15_EA5E),
-        meta: Vec::new(),
+        topo,
+        config,
+        rngs: PassRngs::for_fleet(scale.seed),
         pockets: Vec::new(),
-        pocket_sing: HashMap::new(),
-        pocket_pair: HashMap::new(),
-        cache: None,
         queue: VecDeque::new(),
         next_market: 0,
         next_param: 0,
@@ -205,497 +151,101 @@ impl FleetStream {
     /// parameter), pushing its events. Returns `true` when exhausted.
     /// May push zero events (a parameter with no tuning hits).
     fn step(&mut self) -> bool {
-        if self.next_market < self.scale.n_markets {
-            let m = self.next_market;
+        if self.next_market < self.topo.markets.len() {
             self.next_market += 1;
-            self.emit_market(m);
+            self.emit_market(self.next_market - 1);
             false
         } else if self.next_param < self.catalog.len() {
-            let p = self.next_param;
             self.next_param += 1;
-            self.emit_param_tuning(p);
+            self.emit_param_tuning(self.next_param - 1);
             false
         } else {
             true
         }
     }
 
-    /// Phase A: build market `m`, emit its adds and pocket retunes, and
-    /// leave its data in the cache.
+    /// Phase A: market `m`'s adds, then its pocket retunes.
     fn emit_market(&mut self, m: usize) {
-        let (enb_base, carrier_base, pair_base) = self
-            .meta
-            .last()
-            .map(|mm| {
-                (
-                    mm.enb_base + mm.n_enbs,
-                    mm.carrier_base + mm.n_carriers,
-                    mm.pair_base + mm.n_pairs,
-                )
-            })
-            .unwrap_or((0, 0, 0));
-        let data = build_market_data(&self.scale, &self.schema, m, enb_base, carrier_base);
-        self.meta.push(MarketMeta {
-            enb_base,
-            n_enbs: data.enodebs.len(),
-            carrier_base,
-            n_carriers: data.carriers.len(),
-            pair_base,
-            n_pairs: data.x2.n_pairs(),
+        let Self {
+            knobs,
+            catalog,
+            rules,
+            topo,
+            config,
+            rngs,
+            pockets,
+            queue,
+            ..
+        } = self;
+        // Market `m`'s slots still hold their rule values, which the adds
+        // carry as base values: earlier markets' pockets only wrote their
+        // own markets, and Phase B has not started.
+        let market = &topo.markets[m];
+        queue.push_back(FleetDelta::AddMarket {
+            id: market.id,
+            name: market.name.clone(),
+            timezone: market.timezone,
         });
-
-        let market_id = data.enodebs[0].market;
-        self.queue.push_back(FleetDelta::AddMarket {
-            id: market_id,
-            name: format!("Market {}", m + 1),
-            timezone: auric_model::Timezone::ALL[m % 4],
-        });
-        for enb in &data.enodebs {
+        for &e in &market.enodebs {
+            let enb = &topo.enodebs[e.index()];
             let mut shell = enb.clone();
             shell.carriers.clear();
-            self.queue
-                .push_back(FleetDelta::AddEnodeb { enodeb: shell });
+            queue.push_back(FleetDelta::AddEnodeb { enodeb: shell });
             for &cid in &enb.carriers {
-                let c = &data.carriers[cid.index() - carrier_base];
-                let base: Vec<ValueIdx> = self
-                    .catalog
-                    .singular_ids()
-                    .map(|p| {
-                        let rule = &self.rules[p.index()];
-                        rule.value_for(&tuning::singular_key(rule, c))
-                    })
-                    .collect();
-                self.queue.push_back(FleetDelta::AddCarrier {
-                    carrier: c.clone(),
-                    base,
+                queue.push_back(FleetDelta::AddCarrier {
+                    carrier: topo.carriers[cid.index()].clone(),
+                    base: catalog
+                        .singular_ids()
+                        .map(|p| config.value(p, cid))
+                        .collect(),
                 });
             }
         }
-        // One event per undirected edge, in pair order (already deduped
-        // and sorted by the CSR build).
-        let pairwise: Vec<ParamId> = self.catalog.pairwise_ids().collect();
-        for (_, lj, lk) in data.x2.pairs() {
-            if lj >= lk {
-                continue;
-            }
-            let cj = &data.carriers[lj.index()];
-            let ck = &data.carriers[lk.index()];
-            let pair_base_values = |src: &Carrier, dst: &Carrier| -> Vec<ValueIdx> {
-                pairwise
-                    .iter()
-                    .map(|&p| {
-                        let rule = &self.rules[p.index()];
-                        rule.value_for(&tuning::pairwise_key(rule, src, dst))
-                    })
-                    .collect()
-            };
-            self.queue.push_back(FleetDelta::AddX2Edge {
-                a: cj.id,
-                b: ck.id,
-                base_ab: pair_base_values(cj, ck),
-                base_ba: pair_base_values(ck, cj),
-            });
-        }
-
-        self.emit_market_pockets(m, &data, enb_base, carrier_base, pair_base);
-        self.cache = Some((m, data));
-    }
-
-    /// Market `m`'s slice of the `apply_pockets` pass: identical draws
-    /// from the persistent pockets RNG, emitted as retune events.
-    fn emit_market_pockets(
-        &mut self,
-        _m: usize,
-        data: &MarketData,
-        enb_base: usize,
-        carrier_base: usize,
-        pair_base: usize,
-    ) {
-        let market_id = data.enodebs[0].market;
-        let market_enbs: Vec<_> = data.enodebs.iter().map(|e| e.id).collect();
-        if self.pockets_rng.random_range(0.0..1.0) >= self.knobs.pocket_prob
-            || self.knobs.max_pockets == 0
-            || market_enbs.is_empty()
-        {
-            return;
-        }
-        let n = self.pockets_rng.random_range(1..=self.knobs.max_pockets);
-        let dense: Vec<_> = market_enbs
-            .iter()
-            .filter(|&&e| data.enodebs[e.index() - enb_base].morphology != Morphology::Rural)
-            .copied()
-            .collect();
-        let candidates = if dense.is_empty() {
-            &market_enbs
-        } else {
-            &dense
-        };
-        for _ in 0..n {
-            let center_enb = candidates[self.pockets_rng.random_range(0..candidates.len())];
-            let center = data.enodebs[center_enb.index() - enb_base].position;
-            let radius = self
-                .pockets_rng
-                .random_range(self.knobs.pocket_radius_km.0..=self.knobs.pocket_radius_km.1);
-            let hidden = self.pockets_rng.random_range(0.0..1.0) < self.knobs.hidden_pocket_frac;
-            let band = Band::ALL[self.pockets_rng.random_range(0..3usize)];
-            let why = Provenance::Pocket {
-                hidden_attribute: hidden,
-            };
-            let n_params = self
-                .pockets_rng
-                .random_range(self.knobs.params_per_pocket.0..=self.knobs.params_per_pocket.1)
-                .min(self.catalog.len());
-            let mut chosen: Vec<ParamId> = Vec::with_capacity(n_params);
-            while chosen.len() < n_params {
-                let p = ParamId(self.pockets_rng.random_range(0..self.catalog.len() as u16));
-                if !chosen.contains(&p) {
-                    chosen.push(p);
+        // One event per undirected edge, in pair order.
+        let pairwise: Vec<ParamId> = catalog.pairwise_ids().collect();
+        let x2 = &topo.x2;
+        for &a in &market.carriers {
+            for (q, &b) in x2.pairs_from(a).zip(x2.neighbors(a)) {
+                if a >= b {
+                    continue;
                 }
+                let back = x2.pair_idx(b, a).expect("X2 pairs come in both directions");
+                queue.push_back(FleetDelta::AddX2Edge {
+                    a,
+                    b,
+                    base_ab: pairwise.iter().map(|&p| config.pair_value(p, q)).collect(),
+                    base_ba: pairwise
+                        .iter()
+                        .map(|&p| config.pair_value(p, back))
+                        .collect(),
+                });
             }
-            chosen.sort_unstable();
-
-            let in_pocket = |c: &Carrier| {
-                c.market == market_id
-                    && c.band == band
-                    && data.enodebs[c.enodeb.index() - enb_base]
-                        .position
-                        .distance(center)
-                        <= radius
-            };
-            let mut params = Vec::with_capacity(chosen.len());
-            for &pid in &chosen {
-                let (kind, grid) = {
-                    let def = self.catalog.def(pid);
-                    (def.kind, def.range.n_values())
-                };
-                let value = {
-                    let rule = &self.rules[pid.index()];
-                    tuning::override_value(&mut self.pockets_rng, rule, grid, None)
-                };
-                match kind {
-                    ParamKind::Singular => {
-                        for c in &data.carriers {
-                            if in_pocket(c) {
-                                self.queue.push_back(FleetDelta::Retune {
-                                    param: pid,
-                                    slot: DeltaSlot::Carrier(c.id),
-                                    value,
-                                    why,
-                                });
-                                self.pocket_sing.insert((pid, c.id), value);
-                            }
-                        }
-                    }
-                    ParamKind::Pairwise => {
-                        for c in &data.carriers {
-                            if in_pocket(c) {
-                                let local = CarrierId::from_index(c.id.index() - carrier_base);
-                                for p in data.x2.pairs_from(local) {
-                                    let (lj, lk) = data.x2.pair(p);
-                                    self.queue.push_back(FleetDelta::Retune {
-                                        param: pid,
-                                        slot: DeltaSlot::Pair(
-                                            CarrierId::from_index(carrier_base + lj.index()),
-                                            CarrierId::from_index(carrier_base + lk.index()),
-                                        ),
-                                        value,
-                                        why,
-                                    });
-                                    self.pocket_pair
-                                        .insert((pid, pair_base as PairIdx + p), value);
-                                }
-                            }
-                        }
-                    }
-                }
-                params.push((pid, value));
-            }
-            self.pockets.push(Pocket {
-                market: market_id,
-                center,
-                radius_km: radius,
-                band,
-                params,
-                hidden,
-            });
         }
+
+        let passes = Passes::new(topo, catalog, rules, knobs);
+        let mut w = Writer::new(config, x2, Some(queue));
+        passes.pockets(&mut w, &mut rngs.pockets, market, pockets);
     }
 
     /// Phase B: parameter `pi`'s slice of the stale/live/noise passes,
     /// in that order, each from its own persistent RNG.
     fn emit_param_tuning(&mut self, pi: usize) {
-        let def = self.catalog.defs()[pi].clone();
-        let rule = self.rules[pi].clone();
-        let total_carriers = self.total_carriers();
-        let total_pairs = self.total_pairs();
-
-        // Per-parameter hit maps for noise-pass value reconstruction.
-        let mut stale_sing: HashMap<CarrierId, ValueIdx> = HashMap::new();
-        let mut stale_pair: HashMap<PairIdx, ValueIdx> = HashMap::new();
-        let mut live_sing: HashMap<CarrierId, ValueIdx> = HashMap::new();
-        let mut live_pair: HashMap<PairIdx, ValueIdx> = HashMap::new();
-
-        // --- apply_stale_trials, parameter slice ---
-        if self.stale_rng.random_range(0.0..1.0) < self.knobs.stale_trial_prob {
-            let value = rule.noise_pool[self.stale_rng.random_range(0..rule.noise_pool.len())];
-            match def.kind {
-                ParamKind::Singular => {
-                    for ci in 0..total_carriers {
-                        if self.stale_rng.random_range(0.0..1.0) < self.knobs.stale_trial_frac {
-                            let cid = CarrierId::from_index(ci);
-                            self.queue.push_back(FleetDelta::Retune {
-                                param: def.id,
-                                slot: DeltaSlot::Carrier(cid),
-                                value,
-                                why: Provenance::StaleTrial,
-                            });
-                            stale_sing.insert(cid, value);
-                        }
-                    }
-                }
-                ParamKind::Pairwise => {
-                    for p in 0..total_pairs as PairIdx {
-                        if self.stale_rng.random_range(0.0..1.0) < self.knobs.stale_trial_frac {
-                            let (gj, gk) = self.pair_endpoints(p);
-                            self.queue.push_back(FleetDelta::Retune {
-                                param: def.id,
-                                slot: DeltaSlot::Pair(gj, gk),
-                                value,
-                                why: Provenance::StaleTrial,
-                            });
-                            stale_pair.insert(p, value);
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- apply_live_trials, parameter slice ---
-        if self.live_rng.random_range(0.0..1.0) < self.knobs.live_trial_prob {
-            let value = rule.noise_pool[self.live_rng.random_range(0..rule.noise_pool.len())];
-            let mi = self.live_rng.random_range(0..self.scale.n_markets);
-            let tac = self.live_rng.random_range(0..names::TACS_PER_MARKET as u16)
-                + mi as u16 * names::TACS_PER_MARKET as u16;
-            let mm = self.meta[mi];
-            match def.kind {
-                ParamKind::Singular => {
-                    for ci in mm.carrier_base..mm.carrier_base + mm.n_carriers {
-                        let cid = CarrierId::from_index(ci);
-                        // Short-circuit mirrors the batch pass: the frac
-                        // draw is only consumed for in-trial carriers.
-                        if self.carrier_tac(cid) == tac
-                            && self.live_rng.random_range(0.0..1.0) < self.knobs.live_trial_frac
-                        {
-                            self.queue.push_back(FleetDelta::Retune {
-                                param: def.id,
-                                slot: DeltaSlot::Carrier(cid),
-                                value,
-                                why: Provenance::TrialInProgress,
-                            });
-                            live_sing.insert(cid, value);
-                        }
-                    }
-                }
-                ParamKind::Pairwise => {
-                    for ci in mm.carrier_base..mm.carrier_base + mm.n_carriers {
-                        let cid = CarrierId::from_index(ci);
-                        if self.carrier_tac(cid) != tac {
-                            continue;
-                        }
-                        let local = CarrierId::from_index(ci - mm.carrier_base);
-                        let range = {
-                            let data = self.market_data(mi);
-                            data.x2.pairs_from(local)
-                        };
-                        for lp in range {
-                            if self.live_rng.random_range(0.0..1.0) < self.knobs.live_trial_frac {
-                                let p = mm.pair_base as PairIdx + lp;
-                                let (gj, gk) = self.pair_endpoints(p);
-                                self.queue.push_back(FleetDelta::Retune {
-                                    param: def.id,
-                                    slot: DeltaSlot::Pair(gj, gk),
-                                    value,
-                                    why: Provenance::TrialInProgress,
-                                });
-                                live_pair.insert(p, value);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- apply_noise, parameter slice ---
-        if self.knobs.noise_rate > 0.0 {
-            match def.kind {
-                ParamKind::Singular => {
-                    for ci in 0..total_carriers {
-                        if self.noise_rng.random_range(0.0..1.0) < self.knobs.noise_rate {
-                            let cid = CarrierId::from_index(ci);
-                            // Last write wins: live > stale > pocket > rule.
-                            let cur = live_sing
-                                .get(&cid)
-                                .or_else(|| stale_sing.get(&cid))
-                                .or_else(|| self.pocket_sing.get(&(def.id, cid)))
-                                .copied()
-                                .unwrap_or_else(|| self.rule_value_singular(&rule, cid));
-                            let v = tuning::override_value(
-                                &mut self.noise_rng,
-                                &rule,
-                                def.range.n_values(),
-                                Some(cur),
-                            );
-                            self.queue.push_back(FleetDelta::Retune {
-                                param: def.id,
-                                slot: DeltaSlot::Carrier(cid),
-                                value: v,
-                                why: Provenance::Noise,
-                            });
-                        }
-                    }
-                }
-                ParamKind::Pairwise => {
-                    for p in 0..total_pairs as PairIdx {
-                        if self.noise_rng.random_range(0.0..1.0) < self.knobs.noise_rate {
-                            let cur = live_pair
-                                .get(&p)
-                                .or_else(|| stale_pair.get(&p))
-                                .or_else(|| self.pocket_pair.get(&(def.id, p)))
-                                .copied()
-                                .unwrap_or_else(|| self.rule_value_pairwise(&rule, p));
-                            let v = tuning::override_value(
-                                &mut self.noise_rng,
-                                &rule,
-                                def.range.n_values(),
-                                Some(cur),
-                            );
-                            let (gj, gk) = self.pair_endpoints(p);
-                            self.queue.push_back(FleetDelta::Retune {
-                                param: def.id,
-                                slot: DeltaSlot::Pair(gj, gk),
-                                value: v,
-                                why: Provenance::Noise,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn total_carriers(&self) -> usize {
-        self.meta
-            .last()
-            .map(|mm| mm.carrier_base + mm.n_carriers)
-            .unwrap_or(0)
-    }
-
-    fn total_pairs(&self) -> usize {
-        self.meta
-            .last()
-            .map(|mm| mm.pair_base + mm.n_pairs)
-            .unwrap_or(0)
-    }
-
-    fn market_of_carrier(&self, ci: usize) -> usize {
-        self.meta
-            .partition_point(|mm| mm.carrier_base + mm.n_carriers <= ci)
-    }
-
-    fn market_of_pair(&self, p: PairIdx) -> usize {
-        self.meta
-            .partition_point(|mm| mm.pair_base + mm.n_pairs <= p as usize)
-    }
-
-    /// The (deterministically regenerated) data of market `m`.
-    fn market_data(&mut self, m: usize) -> &MarketData {
-        if self.cache.as_ref().map(|(i, _)| *i) != Some(m) {
-            let mm = self.meta[m];
-            let data =
-                build_market_data(&self.scale, &self.schema, m, mm.enb_base, mm.carrier_base);
-            self.cache = Some((m, data));
-        }
-        &self.cache.as_ref().expect("just filled").1
-    }
-
-    /// Global directed pair `p`'s endpoints as global carrier ids.
-    fn pair_endpoints(&mut self, p: PairIdx) -> (CarrierId, CarrierId) {
-        let m = self.market_of_pair(p);
-        let mm = self.meta[m];
-        let data = self.market_data(m);
-        let (lj, lk) = data.x2.pair(p - mm.pair_base as PairIdx);
-        (
-            CarrierId::from_index(mm.carrier_base + lj.index()),
-            CarrierId::from_index(mm.carrier_base + lk.index()),
-        )
-    }
-
-    /// Carrier `cid`'s tracking-area code.
-    fn carrier_tac(&mut self, cid: CarrierId) -> u16 {
-        let m = self.market_of_carrier(cid.index());
-        let base = self.meta[m].carrier_base;
-        let data = self.market_data(m);
-        data.carriers[cid.index() - base]
-            .attrs
-            .get(crate::attr_idx::TAC)
-    }
-
-    /// The latent-rule value for a singular parameter on `cid`.
-    fn rule_value_singular(&mut self, rule: &LatentRule, cid: CarrierId) -> ValueIdx {
-        let m = self.market_of_carrier(cid.index());
-        let base = self.meta[m].carrier_base;
-        let data = self.market_data(m);
-        let c = &data.carriers[cid.index() - base];
-        rule.value_for(&tuning::singular_key(rule, c))
-    }
-
-    /// The latent-rule value for a pair-wise parameter on global pair `p`.
-    fn rule_value_pairwise(&mut self, rule: &LatentRule, p: PairIdx) -> ValueIdx {
-        let m = self.market_of_pair(p);
-        let mm = self.meta[m];
-        let data = self.market_data(m);
-        let (lj, lk) = data.x2.pair(p - mm.pair_base as PairIdx);
-        let key =
-            tuning::pairwise_key(rule, &data.carriers[lj.index()], &data.carriers[lk.index()]);
-        rule.value_for(&key)
-    }
-}
-
-/// Builds market `m` and finishes it: market-local X2 CSR plus filled
-/// dynamic attributes. Pure function of `(scale, m, bases)` — this is
-/// what makes the LRU-1 cache regenerable.
-fn build_market_data(
-    scale: &NetScale,
-    schema: &AttributeSchema,
-    m: usize,
-    enb_base: usize,
-    carrier_base: usize,
-) -> MarketData {
-    let mb = topology::build_market(scale, schema, m, enb_base, carrier_base);
-    let local_edges: Vec<(CarrierId, CarrierId)> = mb
-        .edges
-        .iter()
-        .map(|&(a, b)| {
-            (
-                CarrierId::from_index(a.index() - carrier_base),
-                CarrierId::from_index(b.index() - carrier_base),
-            )
-        })
-        .collect();
-    let x2 = X2Graph::from_edges(mb.carriers.len(), &local_edges);
-    let mut carriers = mb.carriers;
-    topology::fill_dynamic_attrs(
-        &mut carriers,
-        &mb.enodebs,
-        &x2,
-        schema,
-        enb_base,
-        carrier_base,
-    );
-    MarketData {
-        enodebs: mb.enodebs,
-        carriers,
-        x2,
+        let Self {
+            knobs,
+            catalog,
+            rules,
+            topo,
+            config,
+            rngs,
+            queue,
+            ..
+        } = self;
+        let def = &catalog.defs()[pi];
+        let passes = Passes::new(topo, catalog, rules, knobs);
+        let mut w = Writer::new(config, &topo.x2, Some(queue));
+        passes.stale(&mut w, &mut rngs.stale, def);
+        passes.live(&mut w, &mut rngs.live, def);
+        passes.noise(&mut w, &mut rngs.noise, def);
     }
 }
 
@@ -772,6 +322,85 @@ mod tests {
             assert_eq!(batch.snapshot.carriers, streamed.snapshot.carriers);
             assert_eq!(batch.truth.pockets, streamed.truth.pockets);
         }
+    }
+
+    /// FNV-1a over every event's `Debug` form plus each batch's length:
+    /// pins the exact event sequence and batch split, which the
+    /// stand-up's decision and dependency-test counts depend on.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+
+    fn event_hash(scale: &NetScale, knobs: &TuningKnobs) -> u64 {
+        use std::fmt::Write;
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut s = stream(scale, knobs);
+        while let Some(batch) = s.next_batch() {
+            h.bytes(&(batch.len() as u64).to_le_bytes());
+            for e in &batch {
+                write!(h, "{e:?}").unwrap();
+            }
+        }
+        h.0
+    }
+
+    #[test]
+    fn event_sequence_hashes_are_pinned() {
+        let tiny = NetScale::tiny();
+        assert_eq!(
+            event_hash(&tiny, &TuningKnobs::default()),
+            0x2bae_1d8f_3d34_1219
+        );
+        assert_eq!(
+            event_hash(&tiny, &TuningKnobs::none()),
+            0x754e_9850_c186_013a
+        );
+        for (seed, want) in [
+            (1u64, 0x1fde_f13e_d1ce_1abb),
+            (99, 0xe777_f552_e3cd_7274),
+            (31337, 0x38e1_2d88_149d_2ffe),
+        ] {
+            let scale = NetScale {
+                n_markets: 3,
+                enbs_per_market: 6,
+                seed,
+            };
+            assert_eq!(
+                event_hash(&scale, &TuningKnobs::default()),
+                want,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Medium scale (28 markets, ~12K carriers): run with
+    /// `cargo test --release -p auric-netgen -- --ignored`.
+    #[test]
+    #[ignore = "medium scale; run in release with --ignored"]
+    fn medium_stream_matches_generate_and_its_pinned_hash() {
+        let scale = NetScale::medium();
+        let knobs = TuningKnobs::default();
+        assert_eq!(event_hash(&scale, &knobs), 0xb4b8_fdef_1366_de65);
+        let batch = generate(&scale, &knobs);
+        let streamed = stream(&scale, &knobs).collect_network();
+        assert_eq!(
+            serde_json::to_string(&batch.snapshot).unwrap(),
+            serde_json::to_string(&streamed.snapshot).unwrap()
+        );
+        assert_eq!(batch.truth.pockets, streamed.truth.pockets);
     }
 
     #[test]

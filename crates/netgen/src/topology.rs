@@ -31,7 +31,7 @@ pub struct Topology {
 /// One market's topology as produced by [`build_market`]: entities carry
 /// their *global* ids (offset by the bases passed in), edges are global
 /// too, and the dynamic attributes are still placeholders.
-pub(crate) struct MarketBuild {
+struct MarketBuild {
     pub market: Market,
     pub enodebs: Vec<Enodeb>,
     pub carriers: Vec<Carrier>,
@@ -60,7 +60,7 @@ pub fn build(scale: &NetScale, schema: &AttributeSchema) -> Topology {
     }
 
     let x2 = X2Graph::from_edges(carriers.len(), &edges);
-    fill_dynamic_attrs(&mut carriers, &enodebs, &x2, schema, 0, 0);
+    fill_dynamic_attrs(&mut carriers, &enodebs, &x2, schema);
 
     Topology {
         markets,
@@ -70,13 +70,9 @@ pub fn build(scale: &NetScale, schema: &AttributeSchema) -> Topology {
     }
 }
 
-/// Builds market `m`'s eNodeBs, carriers and X2 edges. Each market has an
-/// independent RNG stream, so this is exactly the body of [`build`]'s
-/// per-market loop — the streaming generator calls it one market at a
-/// time (and again to regenerate a market on demand) and gets the same
-/// bytes, provided `enb_base`/`carrier_base` equal the entity counts of
-/// all earlier markets.
-pub(crate) fn build_market(
+/// Builds market `m`'s eNodeBs, carriers and X2 edges, with ids offset by
+/// `enb_base`/`carrier_base` (the entity counts of all earlier markets).
+fn build_market(
     scale: &NetScale,
     schema: &AttributeSchema,
     m: usize,
@@ -484,18 +480,11 @@ fn inter_enb_edges(
 /// Fills the two dynamic attributes that depend on the finished topology:
 /// the same-eNodeB neighbor-count bucket and the dominant X2 neighbor
 /// channel.
-///
-/// No X2 edge crosses a market line, so the computation is per-market
-/// local: the streaming generator calls this with one market's slices and
-/// a market-local `x2` (ids offset by the two bases) and gets the same
-/// values the global pass computes.
-pub(crate) fn fill_dynamic_attrs(
+fn fill_dynamic_attrs(
     carriers: &mut [Carrier],
     enodebs: &[Enodeb],
     x2: &X2Graph,
     schema: &AttributeSchema,
-    enb_base: usize,
-    carrier_base: usize,
 ) {
     let mixed_level = (schema.cardinality(attr_idx::NEIGHBOR_CHANNEL) - 1) as u16;
     let freqs: Vec<u16> = carriers
@@ -503,10 +492,7 @@ pub(crate) fn fill_dynamic_attrs(
         .map(|c| c.attrs.get(attr_idx::FREQUENCY))
         .collect();
     for c in carriers.iter_mut() {
-        let same_enb = enodebs[c.enodeb.index() - enb_base]
-            .carriers
-            .len()
-            .saturating_sub(1);
+        let same_enb = enodebs[c.enodeb.index()].carriers.len().saturating_sub(1);
         c.attrs.set(
             attr_idx::NEIGHBORS_SAME_ENB,
             names::neighbor_bucket(same_enb),
@@ -514,7 +500,7 @@ pub(crate) fn fill_dynamic_attrs(
 
         // Dominant neighbor channel; "mixed" when no strict winner.
         let mut counts = [0usize; 8];
-        for &n in x2.neighbors(CarrierId::from_index(c.id.index() - carrier_base)) {
+        for &n in x2.neighbors(c.id) {
             counts[freqs[n.index()] as usize] += 1;
         }
         let (best, best_count) = counts

@@ -2,17 +2,25 @@
 //! geographic tuning pockets, stale and in-progress trials, and one-off
 //! noise. Each writes [`Provenance`] so the Fig. 12 mismatch labeling can
 //! be reproduced mechanically.
+//!
+//! Each pass is one body per unit of work (`Passes`: pockets per market;
+//! stale trials, live trials and noise per parameter) run over the units
+//! in order from the pass's own RNG. The `apply_*` functions run a whole
+//! pass; the fleet stream runs the same bodies unit by unit through a
+//! recording `Writer`, so both produce the same writes.
 
 use crate::rules::{LatentRule, Side};
 use crate::scale::TuningKnobs;
 use crate::topology::Topology;
+use auric_model::delta::{DeltaSlot, FleetDelta};
 use auric_model::{
-    AttrValue, Carrier, Configuration, MarketId, ParamCatalog, ParamId, ParamKind, Point,
-    Provenance, ValueIdx,
+    AttrValue, Carrier, CarrierId, Configuration, Market, MarketId, PairIdx, ParamCatalog,
+    ParamDef, ParamId, ParamKind, Point, Provenance, ValueIdx, X2Graph,
 };
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// A geographic tuning pocket: one optimization campaign in which
 /// engineers overrode a *set* of parameters together on every `band`-layer
@@ -84,12 +92,7 @@ pub fn apply_rules(topo: &Topology, catalog: &ParamCatalog, rules: &[LatentRule]
 /// one of the rule's small fixed noise-pool values. Drawing from bounded
 /// per-parameter pools (instead of the whole grid) keeps each parameter's
 /// distinct-value count in Fig. 2's observed range.
-pub(crate) fn override_value(
-    rng: &mut ChaCha8Rng,
-    rule: &LatentRule,
-    _grid: usize,
-    avoid: Option<ValueIdx>,
-) -> ValueIdx {
+fn override_value(rng: &mut ChaCha8Rng, rule: &LatentRule, avoid: Option<ValueIdx>) -> ValueIdx {
     for _ in 0..64 {
         let v = if rng.random_range(0.0..1.0) < 0.6 && rule.palette.len() > 1 {
             rule.palette[rng.random_range(1..rule.palette.len())]
@@ -104,24 +107,132 @@ pub(crate) fn override_value(
     rule.palette[0]
 }
 
-/// Carves geographic tuning pockets (optimization campaigns) and applies
-/// their overrides. Returns the pockets for ground-truth bookkeeping.
-pub fn apply_pockets(
-    cfg: &mut Configuration,
-    topo: &Topology,
-    catalog: &ParamCatalog,
-    rules: &[LatentRule],
-    knobs: &TuningKnobs,
-    seed: u64,
-) -> Vec<Pocket> {
-    let mut pockets = Vec::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB0C4_E75A);
-    for market in &topo.markets {
+// Each pass draws from its own RNG, seeded `seed ^ salt` from the seed
+// its `apply_*` function is given.
+const POCKETS_SALT: u64 = 0xB0C4_E75A;
+const STALE_SALT: u64 = 0x57A1_E7A1;
+const LIVE_SALT: u64 = 0x11FE_77AB;
+const NOISE_SALT: u64 = 0x0D15_EA5E;
+
+/// The four passes' RNGs, seeded as [`crate::generate`] seeds them from
+/// the fleet seed, for running the passes one unit at a time.
+pub(crate) struct PassRngs {
+    pub pockets: ChaCha8Rng,
+    pub stale: ChaCha8Rng,
+    pub live: ChaCha8Rng,
+    pub noise: ChaCha8Rng,
+}
+
+impl PassRngs {
+    pub(crate) fn for_fleet(seed: u64) -> Self {
+        let [pockets, stale, live, noise] = crate::generator::pass_seeds(seed);
+        Self {
+            pockets: ChaCha8Rng::seed_from_u64(pockets ^ POCKETS_SALT),
+            stale: ChaCha8Rng::seed_from_u64(stale ^ STALE_SALT),
+            live: ChaCha8Rng::seed_from_u64(live ^ LIVE_SALT),
+            noise: ChaCha8Rng::seed_from_u64(noise ^ NOISE_SALT),
+        }
+    }
+}
+
+/// Where the passes write a slot. Every write sets the configuration; a
+/// recording writer also appends it as a [`FleetDelta::Retune`], naming a
+/// pair slot by its endpoints.
+pub(crate) struct Writer<'a> {
+    cfg: &'a mut Configuration,
+    x2: &'a X2Graph,
+    events: Option<&'a mut VecDeque<FleetDelta>>,
+}
+
+impl<'a> Writer<'a> {
+    pub(crate) fn new(
+        cfg: &'a mut Configuration,
+        x2: &'a X2Graph,
+        events: Option<&'a mut VecDeque<FleetDelta>>,
+    ) -> Self {
+        Self { cfg, x2, events }
+    }
+
+    fn carrier(&mut self, param: ParamId, c: CarrierId, value: ValueIdx, why: Provenance) {
+        self.cfg.set_value(param, c, value, why);
+        if let Some(events) = self.events.as_deref_mut() {
+            events.push_back(FleetDelta::Retune {
+                param,
+                slot: DeltaSlot::Carrier(c),
+                value,
+                why,
+            });
+        }
+    }
+
+    fn pair(&mut self, param: ParamId, q: PairIdx, value: ValueIdx, why: Provenance) {
+        self.cfg.set_pair_value(param, q, value, why);
+        if let Some(events) = self.events.as_deref_mut() {
+            let (j, k) = self.x2.pair(q);
+            events.push_back(FleetDelta::Retune {
+                param,
+                slot: DeltaSlot::Pair(j, k),
+                value,
+                why,
+            });
+        }
+    }
+}
+
+/// The passes' read-only inputs and each pass's body for one unit of work:
+/// pockets per market; stale trials, live trials and noise per parameter.
+/// A pass runs its body over every unit in order, drawing from one RNG.
+pub(crate) struct Passes<'a> {
+    topo: &'a Topology,
+    catalog: &'a ParamCatalog,
+    rules: &'a [LatentRule],
+    knobs: &'a TuningKnobs,
+}
+
+impl<'a> Passes<'a> {
+    pub(crate) fn new(
+        topo: &'a Topology,
+        catalog: &'a ParamCatalog,
+        rules: &'a [LatentRule],
+        knobs: &'a TuningKnobs,
+    ) -> Self {
+        Self {
+            topo,
+            catalog,
+            rules,
+            knobs,
+        }
+    }
+
+    /// Runs a per-parameter pass over every parameter in catalog order,
+    /// drawing from one RNG seeded `seed`.
+    fn per_param(
+        &self,
+        cfg: &mut Configuration,
+        seed: u64,
+        body: fn(&Self, &mut Writer, &mut ChaCha8Rng, &ParamDef),
+    ) {
+        let mut w = Writer::new(cfg, &self.topo.x2, None);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for def in self.catalog.defs() {
+            body(self, &mut w, &mut rng, def);
+        }
+    }
+
+    /// `market`'s tuning pockets, appended to `pockets`.
+    pub(crate) fn pockets(
+        &self,
+        w: &mut Writer,
+        rng: &mut ChaCha8Rng,
+        market: &Market,
+        pockets: &mut Vec<Pocket>,
+    ) {
+        let (topo, knobs) = (self.topo, self.knobs);
         if rng.random_range(0.0..1.0) >= knobs.pocket_prob
             || knobs.max_pockets == 0
             || market.enodebs.is_empty()
         {
-            continue;
+            return;
         }
         let n = rng.random_range(1..=knobs.max_pockets);
         // Tuning campaigns target dense areas (the paper's motivating
@@ -152,10 +263,10 @@ pub fn apply_pockets(
             // The campaign's parameter set: a handful tuned together.
             let n_params = rng
                 .random_range(knobs.params_per_pocket.0..=knobs.params_per_pocket.1)
-                .min(catalog.len());
+                .min(self.catalog.len());
             let mut chosen: Vec<ParamId> = Vec::with_capacity(n_params);
             while chosen.len() < n_params {
-                let p = ParamId(rng.random_range(0..catalog.len() as u16));
+                let p = ParamId(rng.random_range(0..self.catalog.len() as u16));
                 if !chosen.contains(&p) {
                     chosen.push(p);
                 }
@@ -169,23 +280,17 @@ pub fn apply_pockets(
             };
             let mut params = Vec::with_capacity(chosen.len());
             for &pid in &chosen {
-                let def = catalog.def(pid);
-                let rule = &rules[pid.index()];
-                let value = override_value(&mut rng, rule, def.range.n_values(), None);
-                match def.kind {
-                    ParamKind::Singular => {
-                        for &cid in &market.carriers {
-                            if in_pocket(&topo.carriers[cid.index()]) {
-                                cfg.set_value(pid, cid, value, why);
-                            }
-                        }
+                let kind = self.catalog.def(pid).kind;
+                let value = override_value(rng, &self.rules[pid.index()], None);
+                for &cid in &market.carriers {
+                    if !in_pocket(&topo.carriers[cid.index()]) {
+                        continue;
                     }
-                    ParamKind::Pairwise => {
-                        for &cid in &market.carriers {
-                            if in_pocket(&topo.carriers[cid.index()]) {
-                                for p in topo.x2.pairs_from(cid) {
-                                    cfg.set_pair_value(pid, p, value, why);
-                                }
+                    match kind {
+                        ParamKind::Singular => w.carrier(pid, cid, value, why),
+                        ParamKind::Pairwise => {
+                            for q in topo.x2.pairs_from(cid) {
+                                w.pair(pid, q, value, why);
                             }
                         }
                     }
@@ -201,6 +306,122 @@ pub fn apply_pockets(
                 hidden,
             });
         }
+    }
+
+    /// Parameter `def`'s stale-trial leftovers.
+    pub(crate) fn stale(&self, w: &mut Writer, rng: &mut ChaCha8Rng, def: &ParamDef) {
+        let knobs = self.knobs;
+        if rng.random_range(0.0..1.0) >= knobs.stale_trial_prob {
+            return;
+        }
+        let rule = &self.rules[def.id.index()];
+        // Abandoned trials tried a *new* value, not one of the standing
+        // palette values — draw from the rule's bounded noise pool.
+        let value = rule.noise_pool[rng.random_range(0..rule.noise_pool.len())];
+        match def.kind {
+            ParamKind::Singular => {
+                for c in &self.topo.carriers {
+                    if rng.random_range(0.0..1.0) < knobs.stale_trial_frac {
+                        w.carrier(def.id, c.id, value, Provenance::StaleTrial);
+                    }
+                }
+            }
+            ParamKind::Pairwise => {
+                for q in 0..self.topo.x2.n_pairs() as PairIdx {
+                    if rng.random_range(0.0..1.0) < knobs.stale_trial_frac {
+                        w.pair(def.id, q, value, Provenance::StaleTrial);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Parameter `def`'s in-progress trial, in one market's TAC block.
+    pub(crate) fn live(&self, w: &mut Writer, rng: &mut ChaCha8Rng, def: &ParamDef) {
+        let (topo, knobs) = (self.topo, self.knobs);
+        if rng.random_range(0.0..1.0) >= knobs.live_trial_prob {
+            return;
+        }
+        let rule = &self.rules[def.id.index()];
+        // The certification candidate is likewise a new value.
+        let value = rule.noise_pool[rng.random_range(0..rule.noise_pool.len())];
+        let market = &topo.markets[rng.random_range(0..topo.markets.len())];
+        let tac = rng.random_range(0..crate::names::TACS_PER_MARKET as u16)
+            + market.id.0 * crate::names::TACS_PER_MARKET as u16;
+        let in_trial = |c: &Carrier| c.attrs.get(crate::attr_idx::TAC) == tac;
+        match def.kind {
+            ParamKind::Singular => {
+                for &cid in &market.carriers {
+                    if in_trial(&topo.carriers[cid.index()])
+                        && rng.random_range(0.0..1.0) < knobs.live_trial_frac
+                    {
+                        w.carrier(def.id, cid, value, Provenance::TrialInProgress);
+                    }
+                }
+            }
+            ParamKind::Pairwise => {
+                for &cid in &market.carriers {
+                    if !in_trial(&topo.carriers[cid.index()]) {
+                        continue;
+                    }
+                    for q in topo.x2.pairs_from(cid) {
+                        if rng.random_range(0.0..1.0) < knobs.live_trial_frac {
+                            w.pair(def.id, q, value, Provenance::TrialInProgress);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Parameter `def`'s one-off noise. Reads each hit slot's current
+    /// value from the configuration, so it runs after the parameter's
+    /// pockets and trials.
+    pub(crate) fn noise(&self, w: &mut Writer, rng: &mut ChaCha8Rng, def: &ParamDef) {
+        let rate = self.knobs.noise_rate;
+        if rate <= 0.0 {
+            return;
+        }
+        let rule = &self.rules[def.id.index()];
+        match def.kind {
+            ParamKind::Singular => {
+                for c in &self.topo.carriers {
+                    if rng.random_range(0.0..1.0) < rate {
+                        let cur = w.cfg.value(def.id, c.id);
+                        let v = override_value(rng, rule, Some(cur));
+                        w.carrier(def.id, c.id, v, Provenance::Noise);
+                    }
+                }
+            }
+            ParamKind::Pairwise => {
+                for q in 0..self.topo.x2.n_pairs() as PairIdx {
+                    if rng.random_range(0.0..1.0) < rate {
+                        let cur = w.cfg.pair_value(def.id, q);
+                        let v = override_value(rng, rule, Some(cur));
+                        w.pair(def.id, q, v, Provenance::Noise);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Carves geographic tuning pockets (optimization campaigns) and applies
+/// their overrides. Returns the pockets for ground-truth bookkeeping.
+pub fn apply_pockets(
+    cfg: &mut Configuration,
+    topo: &Topology,
+    catalog: &ParamCatalog,
+    rules: &[LatentRule],
+    knobs: &TuningKnobs,
+    seed: u64,
+) -> Vec<Pocket> {
+    let passes = Passes::new(topo, catalog, rules, knobs);
+    let mut w = Writer::new(cfg, &topo.x2, None);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ POCKETS_SALT);
+    let mut pockets = Vec::new();
+    for market in &topo.markets {
+        passes.pockets(&mut w, &mut rng, market, &mut pockets);
     }
     pockets
 }
@@ -218,32 +439,7 @@ pub fn apply_stale_trials(
     knobs: &TuningKnobs,
     seed: u64,
 ) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x57A1_E7A1);
-    for def in catalog.defs() {
-        if rng.random_range(0.0..1.0) >= knobs.stale_trial_prob {
-            continue;
-        }
-        let rule = &rules[def.id.index()];
-        // Abandoned trials tried a *new* value, not one of the standing
-        // palette values — draw from the rule's bounded noise pool.
-        let value = rule.noise_pool[rng.random_range(0..rule.noise_pool.len())];
-        match def.kind {
-            ParamKind::Singular => {
-                for c in &topo.carriers {
-                    if rng.random_range(0.0..1.0) < knobs.stale_trial_frac {
-                        cfg.set_value(def.id, c.id, value, Provenance::StaleTrial);
-                    }
-                }
-            }
-            ParamKind::Pairwise => {
-                for p in 0..topo.x2.n_pairs() as u32 {
-                    if rng.random_range(0.0..1.0) < knobs.stale_trial_frac {
-                        cfg.set_pair_value(def.id, p, value, Provenance::StaleTrial);
-                    }
-                }
-            }
-        }
-    }
+    Passes::new(topo, catalog, rules, knobs).per_param(cfg, seed ^ STALE_SALT, Passes::stale);
 }
 
 /// Runs in-progress certification trials: per parameter (with probability
@@ -259,42 +455,7 @@ pub fn apply_live_trials(
     knobs: &TuningKnobs,
     seed: u64,
 ) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x11FE_77AB);
-    for def in catalog.defs() {
-        if rng.random_range(0.0..1.0) >= knobs.live_trial_prob {
-            continue;
-        }
-        let rule = &rules[def.id.index()];
-        // The certification candidate is likewise a new value.
-        let value = rule.noise_pool[rng.random_range(0..rule.noise_pool.len())];
-        let market = &topo.markets[rng.random_range(0..topo.markets.len())];
-        let tac = rng.random_range(0..crate::names::TACS_PER_MARKET as u16)
-            + market.id.0 * crate::names::TACS_PER_MARKET as u16;
-        let in_trial = |c: &Carrier| c.attrs.get(crate::attr_idx::TAC) == tac;
-        match def.kind {
-            ParamKind::Singular => {
-                for &cid in &market.carriers {
-                    if in_trial(&topo.carriers[cid.index()])
-                        && rng.random_range(0.0..1.0) < knobs.live_trial_frac
-                    {
-                        cfg.set_value(def.id, cid, value, Provenance::TrialInProgress);
-                    }
-                }
-            }
-            ParamKind::Pairwise => {
-                for &cid in &market.carriers {
-                    if !in_trial(&topo.carriers[cid.index()]) {
-                        continue;
-                    }
-                    for p in topo.x2.pairs_from(cid) {
-                        if rng.random_range(0.0..1.0) < knobs.live_trial_frac {
-                            cfg.set_pair_value(def.id, p, value, Provenance::TrialInProgress);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    Passes::new(topo, catalog, rules, knobs).per_param(cfg, seed ^ LIVE_SALT, Passes::live);
 }
 
 /// Adds one-off noise: each slot independently deviates with probability
@@ -308,33 +469,7 @@ pub fn apply_noise(
     knobs: &TuningKnobs,
     seed: u64,
 ) {
-    if knobs.noise_rate <= 0.0 {
-        return;
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0D15_EA5E);
-    for def in catalog.defs() {
-        let rule = &rules[def.id.index()];
-        match def.kind {
-            ParamKind::Singular => {
-                for c in &topo.carriers {
-                    if rng.random_range(0.0..1.0) < knobs.noise_rate {
-                        let cur = cfg.value(def.id, c.id);
-                        let v = override_value(&mut rng, rule, def.range.n_values(), Some(cur));
-                        cfg.set_value(def.id, c.id, v, Provenance::Noise);
-                    }
-                }
-            }
-            ParamKind::Pairwise => {
-                for p in 0..topo.x2.n_pairs() as u32 {
-                    if rng.random_range(0.0..1.0) < knobs.noise_rate {
-                        let cur = cfg.pair_value(def.id, p);
-                        let v = override_value(&mut rng, rule, def.range.n_values(), Some(cur));
-                        cfg.set_pair_value(def.id, p, v, Provenance::Noise);
-                    }
-                }
-            }
-        }
-    }
+    Passes::new(topo, catalog, rules, knobs).per_param(cfg, seed ^ NOISE_SALT, Passes::noise);
 }
 
 #[cfg(test)]

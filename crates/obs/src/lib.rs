@@ -11,11 +11,12 @@
 //!   disabled recorder ([`Recorder::disabled`]) is a `None` behind an
 //!   `Option<Arc<_>>`: every operation is a branch on a pointer check,
 //!   so instrumented hot paths cost nothing when observability is off.
-//! - [`Clock`] — the pluggable time source spans run on.
-//!   [`WallClock`] reads real time for benchmarking;
-//!   [`ManualClock`] is advanced explicitly (e.g. mirrored from the EMS
-//!   simulation clock), so span durations — and therefore report bytes —
-//!   are identical across runs regardless of thread scheduling.
+//! - The clock spans run on: real time for benchmarking
+//!   ([`Recorder::wall`]), or a manual clock advanced explicitly through
+//!   [`Recorder::advance_sim_ms`] (e.g. mirrored from the EMS simulation
+//!   clock) so span durations — and therefore report bytes — are
+//!   identical across runs regardless of thread scheduling
+//!   ([`Recorder::deterministic`]).
 //! - [`Recorder::report_json`] — the aggregate as a stable-ordered JSON
 //!   document: keys sorted, no timestamps, no floats. Two runs of a
 //!   deterministic workload produce byte-identical reports.
@@ -31,76 +32,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// A monotonic time source for spans, in microseconds since an arbitrary
-/// origin. Implementations must be cheap and thread-safe; determinism is
-/// the implementation's promise, not the trait's.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Microseconds elapsed since the clock's origin.
-    fn now_us(&self) -> u64;
-}
-
-/// Real wall-clock time (monotonic). Use for overhead benchmarking and
-/// interactive runs; never in determinism-sensitive tests.
+/// The time source spans run on, in microseconds since the recorder was
+/// made.
 #[derive(Debug)]
-pub struct WallClock {
-    origin: Instant,
+enum Clock {
+    /// Real monotonic time, for overhead measurement and interactive runs;
+    /// never in determinism-sensitive tests.
+    Wall(Instant),
+    /// Moves only through [`Recorder::advance_sim_ms`]. Frozen at zero it
+    /// makes every span duration 0 (pure structure); advanced in lockstep
+    /// with a simulation clock (e.g. `ems::retry::SimClock`) it makes span
+    /// durations report *simulated* time. Either way the report is
+    /// byte-for-byte reproducible.
+    Manual(AtomicU64),
 }
 
-impl WallClock {
-    pub fn new() -> Self {
-        Self {
-            origin: Instant::now(),
+impl Clock {
+    fn now_us(&self) -> u64 {
+        match self {
+            Clock::Wall(origin) => origin.elapsed().as_micros() as u64,
+            Clock::Manual(now_us) => now_us.load(Ordering::Relaxed),
         }
     }
-}
 
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-}
-
-/// A clock that only moves when told to — the deterministic time source.
-///
-/// Frozen at zero it makes every span duration 0 (pure structure, fully
-/// reproducible); advanced in lockstep with a simulation clock (e.g.
-/// `ems::retry::SimClock`) it makes span durations report *simulated*
-/// time, still byte-for-byte reproducible.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now_us: AtomicU64,
-}
-
-impl ManualClock {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `us` microseconds (saturating).
-    pub fn advance_us(&self, us: u64) {
-        // Saturation via CAS loop is overkill; fetch_update keeps it exact.
-        let _ = self
-            .now_us
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+    /// Advances a manual clock by `ms` milliseconds, saturating; a wall
+    /// clock ignores it.
+    fn advance_ms(&self, ms: u64) {
+        if let Clock::Manual(now_us) = self {
+            let us = ms.saturating_mul(1_000);
+            let _ = now_us.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
                 Some(t.saturating_add(us))
             });
-    }
-
-    /// Advances by whole milliseconds — the unit simulation clocks use.
-    pub fn advance_ms(&self, ms: u64) {
-        self.advance_us(ms.saturating_mul(1_000));
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_us(&self) -> u64 {
-        self.now_us.load(Ordering::Relaxed)
+        }
     }
 }
 
@@ -172,10 +135,7 @@ type Registry<T> = RwLock<HashMap<String, T>>;
 
 #[derive(Debug)]
 struct Inner {
-    clock: Arc<dyn Clock>,
-    /// Present when the clock is a [`ManualClock`], so simulation code
-    /// can drive span time deterministically.
-    manual: Option<Arc<ManualClock>>,
+    clock: Clock,
     counters: Registry<AtomicU64>,
     gauges: Registry<AtomicU64>,
     histograms: Registry<Histogram>,
@@ -199,32 +159,20 @@ impl Recorder {
     /// A recorder on real wall-clock time, for overhead measurement and
     /// interactive runs.
     pub fn wall() -> Self {
-        Self::with_clock(Arc::new(WallClock::new()))
+        Self::on(Clock::Wall(Instant::now()))
     }
 
-    /// A recorder on a [`ManualClock`] frozen at zero: fully
-    /// deterministic. Span durations stay 0 unless the clock is advanced
-    /// through [`Recorder::advance_sim_ms`].
+    /// A recorder on a manual clock frozen at zero: fully deterministic.
+    /// Span durations stay 0 unless the clock is advanced through
+    /// [`Recorder::advance_sim_ms`].
     pub fn deterministic() -> Self {
-        let manual = Arc::new(ManualClock::new());
-        Self {
-            inner: Some(Arc::new(Inner {
-                clock: manual.clone(),
-                manual: Some(manual),
-                counters: RwLock::new(HashMap::new()),
-                gauges: RwLock::new(HashMap::new()),
-                histograms: RwLock::new(HashMap::new()),
-                spans: RwLock::new(HashMap::new()),
-            })),
-        }
+        Self::on(Clock::Manual(AtomicU64::new(0)))
     }
 
-    /// A recorder on an arbitrary clock implementation.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
+    fn on(clock: Clock) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 clock,
-                manual: None,
                 counters: RwLock::new(HashMap::new()),
                 gauges: RwLock::new(HashMap::new()),
                 histograms: RwLock::new(HashMap::new()),
@@ -245,9 +193,7 @@ impl Recorder {
     #[inline]
     pub fn advance_sim_ms(&self, ms: u64) {
         if let Some(inner) = &self.inner {
-            if let Some(manual) = &inner.manual {
-                manual.advance_ms(ms);
-            }
+            inner.clock.advance_ms(ms);
         }
     }
 
@@ -381,7 +327,8 @@ impl Recorder {
 
     /// Renders every counter, histogram, and span as a stable-ordered
     /// JSON document. Keys are sorted; a deterministic workload on a
-    /// [`ManualClock`] produces byte-identical output across runs.
+    /// [`Recorder::deterministic`] recorder produces byte-identical output
+    /// across runs.
     pub fn report_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         match &self.inner {
@@ -737,11 +684,19 @@ mod tests {
 
     #[test]
     fn manual_clock_saturates() {
-        let c = ManualClock::new();
-        c.advance_us(u64::MAX - 1);
-        c.advance_us(10);
-        assert_eq!(c.now_us(), u64::MAX);
-        c.advance_ms(5);
-        assert_eq!(c.now_us(), u64::MAX);
+        let r = Recorder::deterministic();
+        r.advance_sim_ms(u64::MAX / 1_000);
+        assert!(r.now_us() < u64::MAX);
+        r.advance_sim_ms(1);
+        assert_eq!(r.now_us(), u64::MAX);
+        r.advance_sim_ms(u64::MAX);
+        assert_eq!(r.now_us(), u64::MAX);
+    }
+
+    #[test]
+    fn wall_clock_ignores_simulated_time() {
+        let r = Recorder::wall();
+        r.advance_sim_ms(u64::MAX);
+        assert!(r.now_us() < u64::MAX);
     }
 }
