@@ -66,6 +66,7 @@ pub fn stream_ingest(opts: &RunOptions) -> ExpOutput {
     let batches: Vec<_> = std::iter::from_fn(|| s.next_batch()).collect();
     let n_batches = batches.len();
     for (i, batch) in batches.iter().enumerate() {
+        let carriers_before = snapshot.n_carriers() as u64;
         let digest = apply_fleet_deltas(&mut snapshot, batch).expect("stream batch is consistent");
         arena.append(&snapshot);
         let before = std::mem::replace(&mut scope, Scope::whole(&snapshot));
@@ -90,8 +91,12 @@ pub fn stream_ingest(opts: &RunOptions) -> ExpOutput {
         tally.patched += report.params_patched as u64;
         tally.rebuilt += report.params_rebuilt as u64;
         tally.untouched += report.params_untouched as u64;
-        carriers_added += digest.added_carriers.len() as u64;
-        carriers_removed += digest.removed.len() as u64;
+        // No batch adds after a remove, and removes pop the tail: a rise
+        // in the carrier count is the carriers the batch added and kept,
+        // a fall the pre-batch carriers it removed.
+        let carriers_after = snapshot.n_carriers() as u64;
+        carriers_added += carriers_after.saturating_sub(carriers_before);
+        carriers_removed += carriers_before.saturating_sub(carriers_after);
         obs_added += report.obs_added;
         obs_removed += report.obs_removed;
         saturated += report.count_saturated;

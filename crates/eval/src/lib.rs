@@ -101,14 +101,6 @@ pub const EXPERIMENTS: [&str; 18] = [
     "ablation-dependency",
 ];
 
-/// Runs one experiment by name.
-///
-/// # Errors
-/// Returns an error string for unknown names.
-pub fn run_experiment(name: &str, opts: &RunOptions) -> Result<ExpOutput, String> {
-    Runner::default().run(name, opts)
-}
-
 /// Runs experiments one after another, computing what several of them
 /// render only once: `table4` and `fig10` both render the global
 /// learners' cross-validation ([`run_global_learners`]), which dominates

@@ -10,7 +10,7 @@
 //! by `auric-eval all --obs` (see EXPERIMENTS.md); running it twice
 //! here would dominate the test suite.
 
-use auric_eval::{run_experiment, RunOptions};
+use auric_eval::{RunOptions, Runner};
 use auric_netgen::NetScale;
 use auric_obs::Recorder;
 
@@ -21,7 +21,7 @@ fn obs_report(name: &str) -> String {
         obs: Recorder::deterministic(),
         ..Default::default()
     };
-    run_experiment(name, &opts).expect("experiment runs");
+    Runner::default().run(name, &opts).expect("experiment runs");
     opts.obs.report_json()
 }
 
@@ -90,7 +90,9 @@ fn disabled_recorder_reports_nothing() {
         seed: 7,
         ..Default::default()
     };
-    run_experiment("global-vs-local", &opts).expect("experiment runs");
+    Runner::default()
+        .run("global-vs-local", &opts)
+        .expect("experiment runs");
     assert_eq!(
         opts.obs.report_json(),
         "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"spans\": {}\n}"

@@ -9,11 +9,13 @@
 //!
 //! [`apply_fleet_deltas`] folds one *batch* of events into a
 //! [`NetworkSnapshot`] and returns an [`AppliedBatch`] — the digest the
-//! incremental fit needs (which targets came and went, which pre-batch
-//! slots were retuned, how the directed pair list re-indexed). Batches
-//! are the atomicity unit: within a batch the X2 CSR is rebuilt lazily
-//! (once per run of edge adds, not once per edge), and the snapshot is
-//! only guaranteed self-consistent at batch boundaries.
+//! incremental fit needs: which pre-batch slots were retuned, and how the
+//! directed pair list re-indexed. Which carriers and pairs came and went
+//! needs no record of its own: the fit reads it off the learning scope
+//! before and after the batch and the pair remap. Batches are the
+//! atomicity unit: within a batch the X2 CSR is rebuilt lazily (once per
+//! run of edge adds, not once per edge), and the snapshot is only
+//! guaranteed self-consistent at batch boundaries.
 //!
 //! ## Addressing
 //!
@@ -87,42 +89,23 @@ pub struct AppliedRetune {
     pub slot: DeltaSlot,
 }
 
-/// One pre-batch directed pair that left with a removed carrier, by its
-/// endpoints (its pair index is gone with it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RemovedPair {
-    pub src: CarrierId,
-    pub dst: CarrierId,
-}
-
-/// A pre-batch carrier the batch removed. Its id lies past the post-batch
-/// fleet (removals are LIFO), so only the pre-batch scope knows whether
-/// it was a member.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RemovedCarrier {
-    pub id: CarrierId,
-    /// Every pre-batch directed pair that involved this carrier, either
-    /// side.
-    pub pairs: Vec<RemovedPair>,
-}
-
 /// Digest of one applied delta batch: what [`apply_fleet_deltas`] did to
-/// the snapshot, in the vocabulary the incremental fit consumes.
+/// the snapshot, in the vocabulary the incremental fit consumes. The
+/// carriers and pairs a batch added or removed are not listed: carrier
+/// ids are dense, adds append and removes pop the tail, so the pre- and
+/// post-batch fleets (and any batch-stable scope over them) together with
+/// [`AppliedBatch::pair_remap`] determine them.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AppliedBatch {
     /// Events in the batch (the `cf.delta.events` counter's unit).
     pub events: usize,
-    /// Carriers appended and still present at batch end, in id order.
-    pub added_carriers: Vec<CarrierId>,
-    /// Pre-batch carriers removed (LIFO), most recent last. A carrier
-    /// both added and removed inside the batch nets out of the digest
-    /// entirely — the fitted model never saw it. The same netting applies
-    /// to [`RemovedPair`]s of pairs born inside the batch.
-    pub removed: Vec<RemovedCarrier>,
-    /// Old pair index → new pair index across the whole batch, when the
-    /// directed pair list changed shape (`None` entries are pairs that
-    /// left with a removed carrier). `None` at the top level means pair
-    /// indices are unchanged.
+    /// Old pair index → new pair index across the whole batch, whenever
+    /// the batch changed the fleet's carriers or pairs. `None` entries are
+    /// pairs that left with a removed carrier; new pair indices outside
+    /// the map's image are pairs the batch created. A batch that only
+    /// appended carriers maps every pair to itself. `None` at the top
+    /// level means the fleet kept its shape: no carrier or pair came or
+    /// went, and no pair moved.
     pub pair_remap: Option<Vec<Option<PairIdx>>>,
     /// Retunes on slots that existed *before* the batch, in event order.
     /// Retunes landing on slots the same batch created are folded into
@@ -134,24 +117,7 @@ impl AppliedBatch {
     /// Did the batch change fleet shape (carriers or pairs), as opposed
     /// to only retuning values in place?
     pub fn structural(&self) -> bool {
-        !self.added_carriers.is_empty() || !self.removed.is_empty() || self.pair_remap.is_some()
-    }
-
-    /// Pair indices (in the post-batch CSR) created by this batch:
-    /// everything not in the remap's image.
-    pub fn added_pairs(&self, post_n_pairs: usize) -> Vec<PairIdx> {
-        match &self.pair_remap {
-            None => Vec::new(),
-            Some(map) => {
-                let mut from_old = vec![false; post_n_pairs];
-                for new in map.iter().flatten() {
-                    from_old[*new as usize] = true;
-                }
-                (0..post_n_pairs as PairIdx)
-                    .filter(|&q| !from_old[q as usize])
-                    .collect()
-            }
-        }
+        self.pair_remap.is_some()
     }
 }
 
@@ -238,13 +204,12 @@ pub fn empty_snapshot(
 /// pair re-index.
 struct BatchState {
     pending: Vec<(CarrierId, CarrierId, Vec<ValueIdx>, Vec<ValueIdx>)>,
-    pending_set: HashSet<(CarrierId, CarrierId)>,
-    /// Undirected edges created by this batch, kept across flushes: their
-    /// pairs have no pre-batch observations, so retunes on them fold into
-    /// the add and removals skip them entirely.
+    /// Undirected edges created by this batch, kept across flushes: a
+    /// second add of one is a duplicate, and their pairs have no pre-batch
+    /// observations, so retunes on them fold into the add.
     batch_edges: HashSet<(CarrierId, CarrierId)>,
-    /// Carriers added by this batch and still present.
-    added: HashSet<CarrierId>,
+    /// Carrier count before the batch: ids at or past it are batch-born.
+    carriers_before: usize,
     cum_remap: Option<Vec<Option<PairIdx>>>,
     removed_any: bool,
 }
@@ -277,9 +242,8 @@ pub fn apply_fleet_deltas(
     };
     let mut st = BatchState {
         pending: Vec::new(),
-        pending_set: HashSet::new(),
         batch_edges: HashSet::new(),
-        added: HashSet::new(),
+        carriers_before: snapshot.carriers.len(),
         cum_remap: None,
         removed_any: false,
     };
@@ -359,8 +323,6 @@ pub fn apply_fleet_deltas(
                         .config
                         .set_value(pid, carrier.id, v, Provenance::Rule);
                 }
-                st.added.insert(carrier.id);
-                out.added_carriers.push(carrier.id);
                 snapshot.carriers.push(carrier.clone());
             }
             FleetDelta::AddX2Edge {
@@ -377,10 +339,9 @@ pub fn apply_fleet_deltas(
                 let existing = a.index() < snapshot.x2.n_carriers()
                     && b.index() < snapshot.x2.n_carriers()
                     && snapshot.x2.pair_idx(*a, *b).is_some();
-                if *a == *b || existing || !st.pending_set.insert(norm) {
+                if *a == *b || existing || !st.batch_edges.insert(norm) {
                     return Err(DeltaError::BadEdge(*a, *b));
                 }
-                st.batch_edges.insert(norm);
                 let n_pairwise = snapshot.catalog.pairwise_ids().count();
                 if base_ab.len() != n_pairwise || base_ba.len() != n_pairwise {
                     return Err(DeltaError::BaseArity {
@@ -405,7 +366,7 @@ pub fn apply_fleet_deltas(
                             return Err(DeltaError::KindMismatch(*param));
                         }
                         snapshot.config.set_value(*param, *c, *value, *why);
-                        st.added.contains(c)
+                        c.index() >= st.carriers_before
                     }
                     DeltaSlot::Pair(a, b) => {
                         flush_pairs(snapshot, &mut st)?;
@@ -435,7 +396,7 @@ pub fn apply_fleet_deltas(
             }
             FleetDelta::RemoveCarrier { id } => {
                 flush_pairs(snapshot, &mut st)?;
-                remove_carrier(snapshot, &mut st, &mut out, *id)?;
+                remove_carrier(snapshot, &mut st, *id)?;
             }
         }
     }
@@ -453,8 +414,12 @@ fn flush_pairs(snapshot: &mut NetworkSnapshot, st: &mut BatchState) -> Result<()
     if st.pending.is_empty() {
         if snapshot.x2.n_carriers() != n {
             // Carriers appended without edges: same pair list, wider CSR.
+            // The identity remap still marks the batch structural.
             let edges = undirected_edges(&snapshot.x2);
             snapshot.x2 = X2Graph::from_edges(n, &edges);
+            if st.cum_remap.is_none() {
+                st.cum_remap = Some((0..snapshot.x2.n_pairs() as PairIdx).map(Some).collect());
+            }
         }
         return Ok(());
     }
@@ -481,17 +446,15 @@ fn flush_pairs(snapshot: &mut NetworkSnapshot, st: &mut BatchState) -> Result<()
         }
     }
     snapshot.x2 = new_x2;
-    st.pending_set.clear();
     st.compose(map);
     Ok(())
 }
 
-/// LIFO carrier removal: records the carrier and every pre-batch directed
-/// pair either side, then shrinks the snapshot.
+/// LIFO carrier removal: shrinks the snapshot by its last carrier and
+/// every pair touching it, and folds the pair re-index into the batch's.
 fn remove_carrier(
     snapshot: &mut NetworkSnapshot,
     st: &mut BatchState,
-    out: &mut AppliedBatch,
     id: CarrierId,
 ) -> Result<(), DeltaError> {
     let last = snapshot
@@ -502,22 +465,6 @@ fn remove_carrier(
     if id != last {
         return Err(DeltaError::NotLastCarrier(id));
     }
-    // A carrier (or pair) born inside this same batch was never seen by
-    // the fitted model, so the digest nets it out instead of recording a
-    // removal.
-    let born_this_batch = st.added.remove(&id);
-    let removed = (!born_this_batch).then(|| RemovedCarrier {
-        id,
-        pairs: snapshot
-            .x2
-            .pairs()
-            .filter(|&(_, j, k)| {
-                let norm = if j < k { (j, k) } else { (k, j) };
-                (j == id || k == id) && !st.batch_edges.contains(&norm)
-            })
-            .map(|(_, src, dst)| RemovedPair { src, dst })
-            .collect(),
-    });
     let carrier = snapshot.carriers.pop().expect("checked non-empty");
     // Shrink the graph: every surviving undirected edge, one fewer node.
     let edges: Vec<(CarrierId, CarrierId)> = undirected_edges(&snapshot.x2)
@@ -544,14 +491,6 @@ fn remove_carrier(
     snapshot.enodebs[carrier.enodeb.index()]
         .carriers
         .retain(|&c| c != id);
-    if let Some(removed) = removed {
-        out.removed.push(removed);
-    } else {
-        // Adds are id-ordered and removals LIFO, so a batch-born carrier
-        // being removed is necessarily the most recently added one.
-        let popped = out.added_carriers.pop();
-        debug_assert_eq!(popped, Some(id));
-    }
     Ok(())
 }
 
@@ -683,14 +622,49 @@ mod tests {
         let q10 = snap.x2.pair_idx(CarrierId(1), CarrierId(0)).unwrap();
         assert_eq!(snap.config.pair_value(ParamId(1), q01), 3);
         assert_eq!(snap.config.pair_value(ParamId(1), q10), 6);
-        assert_eq!(applied.added_carriers.len(), 3);
         assert!(applied.structural());
         assert_eq!(
             applied.retunes,
             vec![],
             "retunes on carriers added this batch fold into the add"
         );
-        assert_eq!(applied.added_pairs(snap.x2.n_pairs()).len(), 4);
+        assert_eq!(
+            applied.pair_remap,
+            Some(vec![]),
+            "no pre-batch pair: all four pairs lie outside the remap's image"
+        );
+    }
+
+    /// Pairs outside the remap's image, by their post-batch endpoints.
+    fn born_pairs(snap: &NetworkSnapshot, applied: &AppliedBatch) -> Vec<(CarrierId, CarrierId)> {
+        let remap = applied
+            .pair_remap
+            .as_ref()
+            .expect("the batch was structural");
+        (0..snap.x2.n_pairs() as PairIdx)
+            .filter(|q| !remap.contains(&Some(*q)))
+            .map(|q| snap.x2.pair(q))
+            .collect()
+    }
+
+    #[test]
+    fn appending_carriers_without_edges_maps_every_pair_to_itself() {
+        let (mut snap, _) = build_market();
+        let applied = apply_fleet_deltas(
+            &mut snap,
+            &[FleetDelta::AddCarrier {
+                carrier: carrier(3, 0, 0, 1),
+                base: vec![2],
+            }],
+        )
+        .unwrap();
+        snap.validate().unwrap();
+        assert_eq!(snap.n_carriers(), 4);
+        assert!(applied.structural(), "the fleet gained a carrier");
+        assert_eq!(
+            applied.pair_remap,
+            Some(vec![Some(0), Some(1), Some(2), Some(3)])
+        );
     }
 
     #[test]
@@ -760,41 +734,46 @@ mod tests {
         );
         let remap = applied.pair_remap.as_ref().expect("pairs re-indexed");
         assert_eq!(remap[q10_before as usize], Some(q10));
-        assert_eq!(applied.added_pairs(6).len(), 2);
+        assert_eq!(
+            born_pairs(&snap, &applied),
+            vec![(CarrierId(0), CarrierId(2)), (CarrierId(2), CarrierId(0))]
+        );
     }
 
     #[test]
-    fn lifo_remove_records_the_carrier_and_its_pairs() {
+    fn lifo_remove_drops_the_carrier_and_its_pairs() {
         let (mut snap, _) = build_market();
         assert_eq!(
             apply_fleet_deltas(&mut snap, &[FleetDelta::RemoveCarrier { id: CarrierId(0) }]),
             Err(DeltaError::NotLastCarrier(CarrierId(0)))
         );
         let (mut snap, _) = build_market();
+        let pre = snap.clone();
         let applied =
             apply_fleet_deltas(&mut snap, &[FleetDelta::RemoveCarrier { id: CarrierId(2) }])
                 .unwrap();
         snap.validate().unwrap();
         assert_eq!(snap.n_carriers(), 2);
         assert_eq!(snap.x2.n_pairs(), 2, "pairs touching carrier 2 left");
-        let removed = &applied.removed[0];
-        assert_eq!(removed.id, CarrierId(2));
-        let mut ends: Vec<_> = removed.pairs.iter().map(|rp| (rp.src, rp.dst)).collect();
-        ends.sort();
+        assert!(applied.structural());
+        let remap = applied.pair_remap.as_ref().expect("pairs re-indexed");
+        let dropped: Vec<_> = (0..pre.x2.n_pairs() as PairIdx)
+            .filter(|&q| remap[q as usize].is_none())
+            .map(|q| pre.x2.pair(q))
+            .collect();
         assert_eq!(
-            ends,
+            dropped,
             vec![(CarrierId(1), CarrierId(2)), (CarrierId(2), CarrierId(1))],
             "both directions of edge 1-2"
         );
-        assert!(applied.pair_remap.is_some());
-        assert!(applied.added_pairs(snap.x2.n_pairs()).is_empty());
+        assert!(born_pairs(&snap, &applied).is_empty());
     }
 
-    /// Entities born and destroyed inside one batch net out of the
-    /// digest: the fitted model never saw them, so recording them would
-    /// count targets it never held as removed.
+    /// Entities born and destroyed inside one batch leave no trace in the
+    /// digest: the fitted model never saw them, so the remap drops no
+    /// pre-batch pair and only the surviving batch-born pairs are new.
     #[test]
-    fn in_batch_add_then_remove_nets_out_of_the_digest() {
+    fn in_batch_add_then_remove_leaves_only_surviving_pairs_new() {
         let (mut snap, _) = build_market();
         let applied = apply_fleet_deltas(
             &mut snap,
@@ -836,8 +815,15 @@ mod tests {
         snap.validate().unwrap();
         assert_eq!(snap.n_carriers(), 3);
         assert_eq!(snap.x2.n_pairs(), 6, "edge 0-2 survives, edge 2-3 left");
-        assert_eq!(applied.added_carriers, vec![], "born and gone nets out");
-        assert_eq!(applied.removed, vec![], "nothing pre-batch was removed");
+        let remap = applied.pair_remap.as_ref().expect("pairs re-indexed");
+        assert!(
+            remap.iter().all(Option::is_some),
+            "nothing pre-batch was removed"
+        );
+        assert_eq!(
+            born_pairs(&snap, &applied),
+            vec![(CarrierId(0), CarrierId(2)), (CarrierId(2), CarrierId(0))]
+        );
         assert_eq!(applied.retunes, vec![], "both retunes hit batch-born slots");
         let q02 = snap.x2.pair_idx(CarrierId(0), CarrierId(2)).unwrap();
         assert_eq!(
@@ -845,7 +831,6 @@ mod tests {
             9,
             "the folded retune still landed on the surviving pair"
         );
-        assert_eq!(applied.added_pairs(snap.x2.n_pairs()).len(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use carrier::{Band, Carrier, Enodeb, Market, Morphology, Point, Timezone, Ve
 pub use config::{Configuration, PairIdx, Provenance};
 pub use delta::{
     apply_fleet_deltas, empty_snapshot, AppliedBatch, AppliedRetune, DeltaError, DeltaSlot,
-    FleetDelta, RemovedCarrier, RemovedPair,
+    FleetDelta,
 };
 pub use ids::{CarrierId, EnodebId, MarketId, ParamId};
 pub use params::{ParamCatalog, ParamDef, ParamFunction, ParamKind, ValueIdx, ValueRange};

@@ -273,8 +273,9 @@ impl Recorder {
             .observe(value);
     }
 
-    /// Opens a root span. Dropping the guard records its duration on the
-    /// recorder's clock.
+    /// Opens the span `name`. Dropping the guard records its duration on
+    /// the recorder's clock. A nested stage names itself by its `/` path
+    /// (`cf.fit/param`), so the report groups it under its parent.
     pub fn span(&self, name: &str) -> Span {
         Span::open(self.clone(), name.to_string())
     }
@@ -459,10 +460,10 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// A hierarchical span guard: records `path` with its duration on drop.
-/// Children extend the path with `/`, so the report groups naturally
-/// (`exp.table5/fit`, `exp.table5/campaign`, ...). On a disabled
-/// recorder the guard is inert.
+/// A span guard: records `path` with its duration on drop. Paths nest
+/// with `/`, so the report groups naturally (`exp.table5/fit`,
+/// `exp.table5/campaign`, ...). On a disabled recorder the guard is
+/// inert.
 #[derive(Debug)]
 pub struct Span {
     rec: Recorder,
@@ -480,19 +481,6 @@ impl Span {
             start_us,
             closed: false,
         }
-    }
-
-    /// Opens a child span `parent-path/name`.
-    pub fn child(&self, name: &str) -> Span {
-        if !self.rec.enabled() {
-            return Span::open(Recorder::disabled(), String::new());
-        }
-        Span::open(self.rec.clone(), format!("{}/{name}", self.path))
-    }
-
-    /// The span's full path.
-    pub fn path(&self) -> &str {
-        &self.path
     }
 
     /// Closes the span now (instead of at drop), recording its duration.
@@ -529,7 +517,7 @@ mod tests {
         r.observe("h", 9);
         r.gauge_max("g", 7);
         let s = r.span("root");
-        let c = s.child("leaf");
+        let c = r.span("root/leaf");
         drop(c);
         drop(s);
         assert_eq!(r.counter("a"), 0);
@@ -597,10 +585,10 @@ mod tests {
     fn spans_nest_and_use_the_manual_clock() {
         let r = Recorder::deterministic();
         {
-            let root = r.span("exp");
+            let _root = r.span("exp");
             r.advance_sim_ms(3);
             {
-                let child = root.child("stage");
+                let child = r.span("exp/stage");
                 r.advance_sim_ms(2);
                 drop(child);
             }
@@ -628,8 +616,8 @@ mod tests {
                 r.observe("lat", v);
             }
             let s = r.span("root");
-            s.child("z").close();
-            s.child("a").close();
+            r.span("root/z").close();
+            r.span("root/a").close();
             drop(s);
             r.report_json()
         };
