@@ -18,7 +18,7 @@
 //! the codec refuses anything over 128. `legacy.rs` keeps the original
 //! unpacked implementation as the differential-testing oracle.
 
-use crate::dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
+use crate::dependency::{PredictorAttr, SelectOptions, Selector, Side};
 use crate::scope::Scope;
 use crate::voting::{VoteKey, VoteTables};
 use auric_model::{
@@ -556,12 +556,12 @@ impl CfModel {
         let cache = key_cache.unwrap_or_default();
         let cache = &*cache.0;
         cache.guard_fleet(snapshot);
-        // Selection runs on helpers; everything the model keeps is built
-        // here.
+        // Selection runs on helpers, all through one selector; everything
+        // the model keeps is built here.
+        let selector = Selector::new(&arena, snapshot, scope, config.select_options(&obs));
         let select = |i: usize| {
             let _span = obs.span("cf.fit/param/dependency");
-            let options = config.select_options(&obs);
-            select_dependent(&arena, snapshot, scope, ParamId(i as u16), &options)
+            selector.select(ParamId(i as u16))
         };
         let build = |i: usize, dependent: Vec<PredictorAttr>| {
             let span = obs.span("cf.fit/param");
@@ -620,14 +620,19 @@ impl CfModel {
     ///
     /// Key columns cover the scope's index window, so every parameter —
     /// untouched ones too — ends with the column a full scoped fit would
-    /// build over `scope_after`'s window. A column whose window kept the
-    /// same targets (retune-only batches, batches that only touch other
-    /// markets) keeps its `Arc`; any other is packed afresh.
+    /// build over `scope_after`'s window. A column whose old window
+    /// starts the new one, ends inside it, and holds only targets that
+    /// kept their index (every carrier; every pair the batch's remap
+    /// sends to itself) is reused: whole when the window is the same
+    /// (retune-only batches, batches that only touch other markets),
+    /// extended by packing only the new tail when it grew (stand-up
+    /// batches). Any other is packed afresh.
     ///
     /// Dependency selection of the touched parameters runs on helper
-    /// threads when the batch touches enough targets to pay for them;
-    /// everything the model keeps is built on the calling thread. The
-    /// result does not depend on the schedule.
+    /// threads when the batch touches enough targets to pay for them,
+    /// all through one [`Selector`]; everything the model keeps is built
+    /// on the calling thread. The result does not depend on the
+    /// schedule.
     pub fn apply_delta(&mut self, apply: &DeltaApply<'_>) -> DeltaFitReport {
         self.apply_delta_with(apply, None)
     }
@@ -660,12 +665,7 @@ impl CfModel {
             "arena must track the post-batch snapshot"
         );
 
-        // The remap only matters when pair indices actually moved; a
-        // same-length identity map means every pair kept its index.
-        let remap: Option<&[Option<PairIdx>]> = batch.pair_remap.as_deref().filter(|m| {
-            !(m.len() == n_pairs_after
-                && m.iter().enumerate().all(|(q, s)| *s == Some(q as PairIdx)))
-        });
+        let unmoved_pairs = Unmoved::pairs(batch);
 
         let change = ScopeChange::of(batch, scope_before, scope_after, n_pairs_after);
 
@@ -689,18 +689,18 @@ impl CfModel {
         cache.guard_fleet(snapshot);
 
         let in_scope = |kind| match kind {
-            ParamKind::Singular => (change.added_carriers, change.removed_carriers, None),
-            ParamKind::Pairwise => (change.added_pairs, change.removed_pairs, remap),
+            ParamKind::Singular => (change.added_carriers, change.removed_carriers, Unmoved::ALL),
+            ParamKind::Pairwise => (change.added_pairs, change.removed_pairs, unmoved_pairs),
         };
         let mut report = DeltaFitReport::default();
         let mut touched = Vec::new();
         let mut touched_targets = 0;
         for (i, pc) in self.params.iter_mut().enumerate() {
             let kind = snapshot.catalog.def(pc.param).kind;
-            let (added, removed, remap) = in_scope(kind);
+            let (added, removed, unmoved) = in_scope(kind);
             if added == 0 && removed == 0 && !retuned[i] {
                 report.params_untouched += 1;
-                refresh_key_column(pc, kind, arena, cache, window(scope_after, kind), remap);
+                refresh_key_column(pc, kind, arena, cache, window(scope_after, kind), unmoved);
                 continue;
             }
             touched.push(pc.param);
@@ -720,11 +720,15 @@ impl CfModel {
         // The batch may have shifted which attributes pass the chi-square
         // test: re-select every touched parameter, exactly as a full
         // refit would, then rebuild it on this thread.
-        let config = self.config;
+        let selector = Selector::new(
+            arena,
+            snapshot,
+            scope_after,
+            self.config.select_options(&obs),
+        );
         let select = |j: usize| {
             let _span = obs.span("cf.delta.apply/select");
-            let options = config.select_options(&obs);
-            select_dependent(arena, snapshot, scope_after, touched[j], &options)
+            selector.select(touched[j])
         };
         let params = &mut self.params;
         work_then_keep(touched.len(), helpers, select, |j, dependent| {
@@ -733,8 +737,8 @@ impl CfModel {
             let pc = &mut params[param.index()];
             let kind = snapshot.catalog.def(param).kind;
             if dependent == pc.dependent {
-                let (added, removed, remap) = in_scope(kind);
-                build_tables(pc, kind, snapshot, arena, cache, scope_after, remap);
+                let (added, removed, unmoved) = in_scope(kind);
+                build_tables(pc, kind, snapshot, arena, cache, scope_after, unmoved);
                 report.params_patched += 1;
                 report.obs_added += added as u64;
                 report.obs_removed += removed as u64;
@@ -1164,8 +1168,9 @@ const DELTA_HELPER_MIN_TARGETS: usize = 5_000;
 
 /// Runs `work(i)` for every job `i in 0..n`, hands each result to
 /// `keep(i, result)` on the calling thread in the order the jobs finish,
-/// and returns what `keep` made, in index order. Parameters are independent (§3.2), so this is the one scheduler for
-/// every per-parameter fan-out: the fit and [`CfModel::apply_delta`]
+/// and returns what `keep` made, in index order. Parameters are
+/// independent (§3.2), so this is the one scheduler for every
+/// per-parameter fan-out: the fit and [`CfModel::apply_delta`]
 /// (`work` selects, `keep` builds) and [`parallel_map`].
 ///
 /// `helpers` scoped threads claim jobs off a shared counter and send
@@ -1283,24 +1288,34 @@ impl<'a> ArenaPacker<'a> {
         }
     }
 
-    /// The key column of the targets in `window`, packed straight into
-    /// its shared allocation (a `Range` map has an exact length, so the
-    /// collect allocates once and copies nothing).
+    /// The key column of the targets in `window`, given the keys of its
+    /// first `prefix.len()` targets: those are copied and only the tail
+    /// is packed, straight into the shared allocation (a `Range` map has
+    /// an exact length, so the collect allocates once).
+    fn column(&self, prefix: &[u128], window: Range<usize>) -> Arc<[u128]> {
+        let mut column: Arc<[u128]> = window.clone().map(|_| 0).collect();
+        let keys = Arc::get_mut(&mut column).expect("a fresh column has one owner");
+        let (head, tail) = keys.split_at_mut(prefix.len());
+        head.copy_from_slice(prefix);
+        self.fill(tail, window.start + prefix.len()..window.end);
+        column
+    }
+
+    /// Packs the keys of the targets in `window` into `keys`, zeroed and
+    /// of the window's length.
     ///
     /// A pair's key is the OR of its source-side fields, which depend on
     /// the source carrier only, and its destination-side fields. Each
     /// side's fields are packed once per carrier its endpoints span, and
     /// each pair ORs in its two endpoints' partial keys.
-    fn column(&self, window: Range<usize>) -> Arc<[u128]> {
-        let mut column: Arc<[u128]> = window.clone().map(|_| 0).collect();
-        let keys = Arc::get_mut(&mut column).expect("a fresh column has one owner");
+    fn fill(&self, keys: &mut [u128], window: Range<usize>) {
         if keys.is_empty() {
-            return column;
+            return;
         }
         let Some((sides, ends)) = &self.pairs else {
             let all: Vec<usize> = (0..self.cols.len()).collect();
             self.or_fields(&all, keys, |k| window.start + k);
-            return column;
+            return;
         };
         for (side, ends) in [(Side::Src, ends[0]), (Side::Dst, ends[1])] {
             let positions: Vec<usize> = (0..sides.len()).filter(|&i| sides[i] == side).collect();
@@ -1317,7 +1332,6 @@ impl<'a> ArenaPacker<'a> {
                 *key |= partial[(e - lo) as usize];
             }
         }
-        column
     }
 
     /// ORs the fields of key `positions` into `keys`, reading key `k`'s
@@ -1347,38 +1361,82 @@ fn window(scope: &Scope, kind: ParamKind) -> Range<usize> {
     }
 }
 
+/// The targets of one kind that kept their index and their endpoints
+/// through a delta batch: every carrier (removes pop the tail, adds
+/// append), and every pair the batch's pair remap sends to itself.
+#[derive(Debug, Clone, Copy)]
+struct Unmoved<'a> {
+    /// Every target below this one is unmoved.
+    prefix: usize,
+    /// The pair remap, read past `prefix`.
+    remap: &'a [Option<PairIdx>],
+}
+
+impl<'a> Unmoved<'a> {
+    /// Every carrier, or every pair of a batch without a pair remap.
+    const ALL: Self = Self {
+        prefix: usize::MAX,
+        remap: &[],
+    };
+
+    /// The pairs `batch` left in place, with the identity prefix of its
+    /// pair remap measured once.
+    fn pairs(batch: &'a AppliedBatch) -> Self {
+        match batch.pair_remap.as_deref() {
+            None => Self::ALL,
+            Some(map) => Self {
+                prefix: map
+                    .iter()
+                    .enumerate()
+                    .take_while(|&(q, s)| *s == Some(q as PairIdx))
+                    .count(),
+                remap: map,
+            },
+        }
+    }
+
+    /// Whether every pre-batch target in `targets` is unmoved.
+    fn all(&self, targets: Range<usize>) -> bool {
+        targets.end <= self.prefix
+            || self.remap.get(targets.clone()).is_some_and(|map| {
+                map.iter()
+                    .zip(targets)
+                    .all(|(s, t)| *s == Some(t as PairIdx))
+            })
+    }
+}
+
 /// Brings one parameter's key column to `window` over `arena` and
-/// returns it. A column that already covers `window` with the same
-/// targets in it keeps its `Arc` (retune-only batches, batches touching
-/// other markets); any other — a moved window, moved pairs, a fresh
-/// parameter or a deserialized model — is packed afresh through the
-/// cache, so parameters sharing a layout and window share one column.
-///
-/// `remap` is the batch's pair remap for a pair-wise parameter, `None`
-/// for a singular one or when no pair moved (carriers keep their ids:
-/// removes pop from the tail, adds append).
+/// returns it. A column whose window starts where `window` does, ends
+/// inside it and holds only `unmoved` targets is still valid there: over
+/// the whole window it keeps its `Arc` (retune-only batches, batches
+/// touching other markets), over a shorter one it is extended by packing
+/// only the new tail (stand-up batches). Any other column — a moved or
+/// shrunk window, moved pairs, a fresh parameter or a deserialized model
+/// — is packed afresh. New columns go through the cache, so parameters
+/// sharing a layout and window share one.
 fn refresh_key_column(
     pc: &mut ParamCf,
     kind: ParamKind,
     arena: &AttrArena,
     cache: &KeyColumnCache,
     window: Range<usize>,
-    remap: Option<&[Option<PairIdx>]>,
+    unmoved: Unmoved<'_>,
 ) -> WindowColumn {
-    if let (KeyColumn::Carrier(w), ParamKind::Singular)
-    | (KeyColumn::Pair(w), ParamKind::Pairwise) = (&pc.keys, kind)
-    {
-        let same_targets = w.window() == window
-            && match remap {
-                None => true,
-                Some(map) => window.clone().all(|t| map[t] == Some(t as PairIdx)),
-            };
-        if same_targets {
-            return w.clone();
+    let prefix = match (&pc.keys, kind) {
+        (KeyColumn::Carrier(w), ParamKind::Singular)
+        | (KeyColumn::Pair(w), ParamKind::Pairwise) => {
+            let old = w.window();
+            (old.start == window.start && old.end <= window.end && unmoved.all(old)).then_some(w)
         }
+        _ => None,
+    };
+    if let Some(w) = prefix.filter(|w| w.col.len() == window.len()) {
+        return w.clone();
     }
     let w = cache.get_or_build(kind, &pc.dependent, window.clone(), || {
-        ArenaPacker::new(arena, &pc.codec, &pc.dependent, kind).column(window)
+        let packer = ArenaPacker::new(arena, &pc.codec, &pc.dependent, kind);
+        packer.column(prefix.map_or(&[], |w| &w.col), window)
     });
     pc.keys = match kind {
         ParamKind::Singular => KeyColumn::Carrier(w.clone()),
@@ -1403,9 +1461,9 @@ fn build_tables(
     arena: &AttrArena,
     cache: &KeyColumnCache,
     scope: &Scope,
-    remap: Option<&[Option<PairIdx>]>,
+    unmoved: Unmoved<'_>,
 ) {
-    let w = refresh_key_column(pc, kind, arena, cache, window(scope, kind), remap);
+    let w = refresh_key_column(pc, kind, arena, cache, window(scope, kind), unmoved);
     let (param, config) = (pc.param, &snapshot.config);
     pc.tables = match kind {
         ParamKind::Singular => {
@@ -1459,7 +1517,15 @@ fn fit_param_with_dependent(
         default: def.default,
         keys: KeyColumn::None,
     };
-    build_tables(&mut pc, def.kind, snapshot, arena, cache, scope, None);
+    build_tables(
+        &mut pc,
+        def.kind,
+        snapshot,
+        arena,
+        cache,
+        scope,
+        Unmoved::ALL,
+    );
     pc
 }
 
@@ -2304,6 +2370,189 @@ mod tests {
         );
     }
 
+    /// How [`refresh_key_column`] brought the columns of one batch to
+    /// their new windows.
+    #[derive(Debug, Default)]
+    struct Refreshes {
+        /// Kept whole: same window, unmoved targets.
+        kept: usize,
+        /// The old column reused as a prefix and a new tail packed.
+        extended: usize,
+        /// Packed afresh over a non-empty window.
+        repacked: usize,
+    }
+
+    /// Refreshes every key column of `model`, fitted on `pre`, to
+    /// `after`'s windows over the post-batch `post` and `arena`, twice:
+    /// as fitted, and with every key of the old column flipped. The first
+    /// must equal a fresh pack of the window. The second shows which keys
+    /// were reused: exactly the old window's, when it starts the new one,
+    /// ends inside it, and each of its targets kept its index and its
+    /// endpoints (read off both snapshots, not off the remap) — and none
+    /// otherwise.
+    fn check_refreshes(
+        model: &CfModel,
+        pre: &NetworkSnapshot,
+        post: &NetworkSnapshot,
+        arena: &AttrArena,
+        after: &Scope,
+        batch: &AppliedBatch,
+        seen: &mut Refreshes,
+    ) {
+        for pc in model.params() {
+            let kind = post.catalog.def(pc.param).kind;
+            let (old, unmoved) = match kind {
+                ParamKind::Singular => (pc.keys.carriers(), Unmoved::ALL),
+                ParamKind::Pairwise => (pc.keys.pairs(), Unmoved::pairs(batch)),
+            };
+            let old = old.expect("a fitted model has key columns");
+            let window = window(after, kind);
+            let packer = ArenaPacker::new(arena, &pc.codec, &pc.dependent, kind);
+            let fresh = packer.column(&[], window.clone());
+            let mut real = pc.clone();
+            let cache = KeyColumnCache::default();
+            let got = refresh_key_column(&mut real, kind, arena, &cache, window.clone(), unmoved);
+            assert_eq!(got.window(), window);
+            assert_eq!(got.col, fresh, "{:?}: refreshed column", pc.param);
+
+            let same_target = |t: usize| match kind {
+                ParamKind::Singular => {
+                    t < post.n_carriers() && pre.carriers[t].attrs == post.carriers[t].attrs
+                }
+                ParamKind::Pairwise => {
+                    t < post.x2.n_pairs() && pre.x2.pair(t as u32) == post.x2.pair(t as u32)
+                }
+            };
+            let reusable = old.base == window.start
+                && old.window().end <= window.end
+                && old.window().all(same_target);
+            let reused = if reusable { old.col.len() } else { 0 };
+            let mut flipped = pc.clone();
+            let col = old.col.iter().map(|k| !k).collect();
+            let flipped_old = WindowColumn {
+                base: old.base,
+                col,
+            };
+            flipped.keys = match kind {
+                ParamKind::Singular => KeyColumn::Carrier(flipped_old),
+                ParamKind::Pairwise => KeyColumn::Pair(flipped_old),
+            };
+            let cache = KeyColumnCache::default();
+            let got =
+                refresh_key_column(&mut flipped, kind, arena, &cache, window.clone(), unmoved);
+            let want: Vec<u128> = fresh
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| if i < reused { !k } else { k })
+                .collect();
+            assert_eq!(&got.col[..], &want[..], "{:?}: reused keys", pc.param);
+            match (reusable, reused == window.len()) {
+                (true, true) => seen.kept += 1,
+                (true, false) => seen.extended += 1,
+                (false, _) if !window.is_empty() => seen.repacked += 1,
+                (false, _) => {}
+            }
+        }
+    }
+
+    /// Applies `batch` to `snap` and rolls `models` (one per scope of
+    /// [`every_scope`]) over it, checking every key column refresh first
+    /// and the rolled columns against a full refit after.
+    fn roll_and_check(
+        snap: &mut NetworkSnapshot,
+        models: &mut [CfModel],
+        n_markets: usize,
+        batch: &[auric_model::FleetDelta],
+    ) -> Refreshes {
+        let pre = snap.clone();
+        let digest = auric_model::apply_fleet_deltas(snap, batch).expect("a consistent batch");
+        let arena = AttrArena::from_snapshot(snap);
+        let befores = every_scope(&pre, n_markets);
+        let afters = every_scope(snap, n_markets);
+        let mut seen = Refreshes::default();
+        for (i, model) in models.iter_mut().enumerate() {
+            check_refreshes(model, &pre, snap, &arena, &afters[i], &digest, &mut seen);
+            model.apply_delta(&DeltaApply {
+                snapshot: snap,
+                arena: &arena,
+                scope_before: &befores[i],
+                scope_after: &afters[i],
+                batch: &digest,
+                key_cache: None,
+            });
+            let refit = CfModel::fit(snap, &afters[i], CfConfig::default());
+            assert_eq!(key_columns(model), key_columns(&refit), "scope {i}");
+        }
+        seen
+    }
+
+    #[test]
+    fn tail_extended_key_columns_equal_fresh_packs() {
+        // Stand-up: the tiny stream from the empty fleet, through the
+        // whole-fleet model and one model per market.
+        let scale = NetScale::tiny();
+        let mut s = auric_netgen::stream(&scale, &TuningKnobs::default());
+        let mut snap = auric_model::empty_snapshot(s.schema().clone(), s.catalog().clone());
+        let fit_all = |snap: &NetworkSnapshot, n_markets: usize| -> Vec<CfModel> {
+            every_scope(snap, n_markets)
+                .iter()
+                .map(|scope| CfModel::fit(snap, scope, CfConfig::default()))
+                .collect()
+        };
+        let mut models = fit_all(&snap, scale.n_markets);
+        let mut standup = Refreshes::default();
+        while let Some(batch) = s.next_batch() {
+            let seen = roll_and_check(&mut snap, &mut models, scale.n_markets, &batch);
+            standup.kept += seen.kept;
+            standup.extended += seen.extended;
+            standup.repacked += seen.repacked;
+        }
+        assert!(
+            standup.extended > standup.repacked && standup.kept > 0,
+            "stand-up batches extend their columns: {standup:?}"
+        );
+
+        let scale = NetScale {
+            n_markets: 2,
+            enbs_per_market: 4,
+            seed: 31,
+        };
+        let base = generate(&scale, &TuningKnobs::default()).snapshot;
+        let shapes = removal_shapes(&base);
+        // Remove the tail (every window that held it shrinks), then
+        // append a carrier without edges (they grow again).
+        let mut snap = base.clone();
+        let mut models = fit_all(&snap, scale.n_markets);
+        let shrunk = roll_and_check(&mut snap, &mut models, scale.n_markets, &shapes[0]);
+        assert_eq!(
+            shrunk.extended, 0,
+            "a shrunk window is repacked: {shrunk:?}"
+        );
+        assert!(shrunk.repacked > 0, "{shrunk:?}");
+        let born = CarrierId(snap.n_carriers() as u32);
+        let mut carrier = snap.carrier(CarrierId(0)).clone();
+        carrier.id = born;
+        let values = snap.catalog.singular_ids();
+        let values = values.map(|p| snap.config.value(p, CarrierId(0))).collect();
+        let add = auric_model::FleetDelta::AddCarrier {
+            carrier,
+            base: values,
+        };
+        let grown = roll_and_check(&mut snap, &mut models, scale.n_markets, &[add]);
+        assert!(grown.extended > 0, "a grown window is extended: {grown:?}");
+
+        // An edge inside market 0 moves every later pair: the pair
+        // columns over them are packed afresh.
+        let mut snap = base.clone();
+        let mut models = fit_all(&snap, scale.n_markets);
+        let moved = roll_and_check(&mut snap, &mut models, scale.n_markets, &shapes[3]);
+        let pairwise = base.catalog.pairwise_ids().count();
+        assert!(
+            moved.repacked >= 2 * pairwise,
+            "the fleet's and market 1's pair columns are repacked: {moved:?}"
+        );
+    }
+
     #[test]
     fn scheduler_keeps_every_result_on_the_calling_thread() {
         let caller = std::thread::current().id();
@@ -2402,7 +2651,7 @@ mod tests {
                 };
                 let (a, b) = ((ends.0 * n as f64) as usize, (ends.1 * n as f64) as usize);
                 let window = a.min(b)..a.max(b);
-                let column = packer.column(window.clone());
+                let column = packer.column(&[], window.clone());
                 let rows: Vec<u128> = window.map(|t| packer.pack(t)).collect();
                 prop_assert_eq!(&column[..], &rows[..]);
             }
@@ -2447,7 +2696,7 @@ mod tests {
                 let window = a.min(b)..a.max(b);
                 let cache = KeyColumnCache::default();
                 let w = cache.get_or_build(kind, &dependent, window.clone(), || {
-                    ArenaPacker::new(&arena, &codec, &dependent, kind).column(window.clone())
+                    ArenaPacker::new(&arena, &codec, &dependent, kind).column(&[], window.clone())
                 });
                 prop_assert_eq!(w.window(), window.clone());
                 let col = &w.col;

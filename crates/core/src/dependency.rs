@@ -28,6 +28,7 @@ use auric_stats::chi2::chi2_critical;
 use auric_stats::contingency::ContingencyTable;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Which endpoint of a directed pair an attribute is read from. Singular
 /// parameters only use [`Side::Src`].
@@ -72,14 +73,15 @@ const MIN_STRATUM: u32 = 5;
 /// Candidate levels are **not** materialized up front — with 28 candidates
 /// over 2.2M pairwise samples that private copy is ~120 MB per concurrent
 /// job. A candidate's level at sample `i` is read straight from its arena
-/// column as `column[rows[side][i]]`.
+/// column as `column[rows[side][i]]`. The rows belong to the [`Selector`]:
+/// every parameter of one kind samples the same scope targets.
 struct Samples<'a> {
     /// Dense value column index per sample, in first-appearance order.
     values: Vec<u32>,
     n_value_cols: usize,
     /// Arena row per sample, by [`Side`]: the carrier itself for singular
     /// parameters (`Src` only), the pair's endpoints for pair-wise ones.
-    rows: [Vec<u32>; 2],
+    rows: [&'a [u32]; 2],
     /// The samples collapsed for marginal counting, by [`Side`]: runs of
     /// equal `(row, value)` in sample order (`Src`) and in endpoint order
     /// (`Dst`). See [`weighted_rows`].
@@ -89,36 +91,93 @@ struct Samples<'a> {
     arena: &'a AttrArena,
 }
 
-/// Materializes the value column of `param` over `scope`; candidate levels
-/// stay in `arena`.
+/// The scope's sample rows for one parameter kind, shared by every
+/// selection of that kind in one [`Selector`].
+struct ScopeRows {
+    /// Arena row per sample, by [`Side`] (see [`Samples::rows`]).
+    rows: [Vec<u32>; 2],
+    /// Sample indices in a stable counting sort by destination row, which
+    /// brings each destination endpoint's pairs together; empty for
+    /// singular parameters.
+    by_dst: Vec<u32>,
+}
+
+impl ScopeRows {
+    fn of(arena: &AttrArena, scope: &Scope, kind: ParamKind) -> Self {
+        match kind {
+            ParamKind::Singular => Self {
+                rows: [
+                    scope.carriers.iter().map(|c| c.index() as u32).collect(),
+                    Vec::new(),
+                ],
+                by_dst: Vec::new(),
+            },
+            ParamKind::Pairwise => {
+                let ends = |e: &[u32]| -> Vec<u32> {
+                    scope.pairs.iter().map(|&p| e[p as usize]).collect()
+                };
+                let dst = ends(arena.pair_dst());
+                Self {
+                    by_dst: by_row(&dst),
+                    rows: [ends(arena.pair_src()), dst],
+                }
+            }
+        }
+    }
+}
+
+/// The sample indices of `rows` in a stable counting sort by row, over
+/// the rows' `min..=max` range.
+fn by_row(rows: &[u32]) -> Vec<u32> {
+    if rows.is_empty() {
+        return Vec::new();
+    }
+    let (lo, hi) = rows
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    let n_rows = (hi - lo) as usize + 1;
+    let mut at = vec![0u32; n_rows + 1];
+    for &row in rows {
+        at[(row - lo) as usize + 1] += 1;
+    }
+    for r in 0..n_rows {
+        at[r + 1] += at[r];
+    }
+    let mut order = vec![0u32; rows.len()];
+    for (i, &row) in rows.iter().enumerate() {
+        let bucket = &mut at[(row - lo) as usize];
+        order[*bucket as usize] = i as u32;
+        *bucket += 1;
+    }
+    order
+}
+
+/// Materializes the value column of `param` over the scope of `rows`;
+/// candidate levels stay in `arena`.
 fn collect_samples<'a>(
     arena: &'a AttrArena,
     snapshot: &NetworkSnapshot,
     scope: &Scope,
+    rows: &'a ScopeRows,
     param: ParamId,
 ) -> Samples<'a> {
     let kind = snapshot.catalog.def(param).kind;
-    let (mut values, rows): (Vec<u32>, [Vec<u32>; 2]) = match kind {
+    let mut values: Vec<u32> = match kind {
         ParamKind::Singular => {
             let raw = snapshot.config.values_of(param);
-            let carriers = scope.carriers.iter().map(|c| c.index());
-            (
-                carriers.clone().map(|c| raw[c] as u32).collect(),
-                [carriers.map(|c| c as u32).collect(), Vec::new()],
-            )
+            scope
+                .carriers
+                .iter()
+                .map(|c| raw[c.index()] as u32)
+                .collect()
         }
         ParamKind::Pairwise => {
             let raw = snapshot.config.pair_values_of(param);
-            let ends =
-                |e: &[u32]| -> Vec<u32> { scope.pairs.iter().map(|&p| e[p as usize]).collect() };
-            (
-                scope
-                    .pairs
-                    .iter()
-                    .map(|&p| raw[p as usize] as u32)
-                    .collect(),
-                [ends(arena.pair_src()), ends(arena.pair_dst())],
-            )
+            scope
+                .pairs
+                .iter()
+                .map(|&p| raw[p as usize] as u32)
+                .collect()
         }
     };
     // Dense value-column index, assigned in first-appearance order: the
@@ -149,14 +208,14 @@ fn collect_samples<'a>(
         .map(|pa| snapshot.schema.cardinality(pa.attr))
         .collect();
     let weighted = [
-        weighted_rows(&rows[0], &values, false),
-        weighted_rows(&rows[1], &values, true),
+        weighted_rows(&rows.rows[0], &values, None),
+        weighted_rows(&rows.rows[1], &values, Some(&rows.by_dst)),
     ];
 
     Samples {
         values,
         n_value_cols: n_value_cols as usize,
-        rows,
+        rows: [&rows.rows[0], &rows.rows[1]],
         weighted,
         candidates,
         cards,
@@ -174,17 +233,13 @@ struct WeightedRow {
 }
 
 /// Collapses the samples `(rows[i], values[i])` into runs of equal
-/// `(row, value)`. Without `by_row` the runs are taken in sample order: a
+/// `(row, value)`, visiting the samples in sample order or in `order`. A
 /// pair-wise scope lists pairs source by source, so source endpoints
-/// repeat in runs. With `by_row` the samples are first grouped by row (a
-/// stable counting sort over the rows' `min..=max` range), which brings a
-/// destination endpoint's pairs together. Marginal counts are integer
-/// sums, so any grouping gives the same table.
-fn weighted_rows(rows: &[u32], values: &[u32], by_row: bool) -> Vec<WeightedRow> {
+/// repeat in runs in sample order; the destination order ([`by_row`])
+/// brings a destination endpoint's pairs together. Marginal counts are
+/// integer sums, so any grouping gives the same table.
+fn weighted_rows(rows: &[u32], values: &[u32], order: Option<&[u32]>) -> Vec<WeightedRow> {
     let mut out: Vec<WeightedRow> = Vec::new();
-    if rows.is_empty() {
-        return out;
-    }
     let mut push = |row: u32, value: u32| match out.last_mut() {
         Some(w) if w.row == row && w.value == value => w.weight += 1,
         _ => out.push(WeightedRow {
@@ -193,36 +248,17 @@ fn weighted_rows(rows: &[u32], values: &[u32], by_row: bool) -> Vec<WeightedRow>
             weight: 1,
         }),
     };
-    if !by_row {
-        for (&row, &value) in rows.iter().zip(values) {
-            push(row, value);
+    match order {
+        None => {
+            for (&row, &value) in rows.iter().zip(values) {
+                push(row, value);
+            }
         }
-        return out;
-    }
-    let (lo, hi) = rows
-        .iter()
-        .fold((u32::MAX, 0), |(lo, hi), &r| (lo.min(r), hi.max(r)));
-    let n_rows = (hi - lo) as usize + 1;
-    let mut at = vec![0u32; n_rows + 1];
-    for &row in rows {
-        at[(row - lo) as usize + 1] += 1;
-    }
-    for r in 0..n_rows {
-        at[r + 1] += at[r];
-    }
-    let mut sorted = vec![0u32; rows.len()];
-    for (&row, &value) in rows.iter().zip(values) {
-        let bucket = &mut at[(row - lo) as usize];
-        sorted[*bucket as usize] = value;
-        *bucket += 1;
-    }
-    // `at[r]` is now the end of row `lo + r`'s bucket.
-    let mut start = 0;
-    for (r, &end) in at[..n_rows].iter().enumerate() {
-        for &value in &sorted[start..end as usize] {
-            push(lo + r as u32, value);
+        Some(order) => {
+            for &i in order {
+                push(rows[i as usize], values[i as usize]);
+            }
         }
-        start = end as usize;
     }
     out
 }
@@ -238,8 +274,8 @@ impl Samples<'_> {
     fn source(&self, c: usize) -> (&[AttrValue], &[u32]) {
         let pa = self.candidates[c];
         let rows = match pa.side {
-            Side::Src => &self.rows[0],
-            Side::Dst => &self.rows[1],
+            Side::Src => self.rows[0],
+            Side::Dst => self.rows[1],
         };
         (self.arena.column(pa.attr), rows)
     }
@@ -253,33 +289,47 @@ impl Samples<'_> {
     }
 }
 
-/// The chi-square critical values of one selection's significance level,
-/// memoized by degrees of freedom. A critical value is a bisection of
-/// about forty CDF evaluations, and one selection's tests ask for the
-/// same degrees of freedom many times over.
+/// The chi-square critical values of one significance level, memoized by
+/// degrees of freedom and shared by every selection of one [`Selector`],
+/// helper threads included. A critical value is a bisection of about
+/// forty CDF evaluations, and the selections of one fit ask for the same
+/// few hundred degrees of freedom thousands of times. Each one is
+/// computed under the lock, so once per call.
 struct Critical {
     alpha: f64,
-    by_df: HashMap<usize, f64>,
+    by_df: Mutex<HashMap<usize, f64>>,
+    /// Critical values computed, for the tests.
+    #[cfg(test)]
+    computed: std::sync::atomic::AtomicUsize,
 }
 
 impl Critical {
     fn new(alpha: f64) -> Self {
         Self {
             alpha,
-            by_df: HashMap::new(),
+            by_df: Mutex::new(HashMap::new()),
+            #[cfg(test)]
+            computed: Default::default(),
         }
+    }
+
+    /// `chi2_critical(df, alpha)`, computed on the first request for `df`.
+    fn value(&self, df: usize) -> f64 {
+        // A panic while the lock is held leaves the map valid: an entry is
+        // inserted only once its value is computed.
+        let mut by_df = self.by_df.lock().unwrap_or_else(PoisonError::into_inner);
+        *by_df.entry(df).or_insert_with(|| {
+            #[cfg(test)]
+            self.computed
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            chi2_critical(df, self.alpha)
+        })
     }
 
     /// Whether a statistic `stat` on `df` degrees of freedom rejects
     /// independence at `alpha`.
-    fn rejects(&mut self, stat: f64, df: usize) -> bool {
-        let alpha = self.alpha;
-        df > 0
-            && stat
-                > *self
-                    .by_df
-                    .entry(df)
-                    .or_insert_with(|| chi2_critical(df, alpha))
+    fn rejects(&self, stat: f64, df: usize) -> bool {
+        df > 0 && stat > self.value(df)
     }
 }
 
@@ -287,7 +337,7 @@ impl Critical {
 /// contingency table), counted straight from the arena column into bare
 /// cell counts, one addition per [`WeightedRow`]. Returns
 /// `(statistic, dependent)`.
-fn marginal_test(samples: &Samples, c: usize, critical: &mut Critical) -> (f64, bool) {
+fn marginal_test(samples: &Samples, c: usize, critical: &Critical) -> (f64, bool) {
     let pa = samples.candidates[c];
     let col = samples.arena.column(pa.attr);
     let weighted = match pa.side {
@@ -681,7 +731,7 @@ struct Conditional {
 }
 
 impl Conditional {
-    fn dependent(&self, critical: &mut Critical) -> bool {
+    fn dependent(&self, critical: &Critical) -> bool {
         critical.rejects(self.stat, self.df)
     }
 }
@@ -732,7 +782,7 @@ fn conditional_test(
 
 /// The marginally dependent candidates with their statistics, strongest
 /// first (ties by candidate order).
-fn ranked_candidates(samples: &Samples, critical: &mut Critical) -> Vec<(usize, f64)> {
+fn ranked_candidates(samples: &Samples, critical: &Critical) -> Vec<(usize, f64)> {
     let mut ranked: Vec<(usize, f64)> = (0..samples.candidates.len())
         .filter_map(|c| {
             let (stat, dependent) = marginal_test(samples, c, critical);
@@ -743,7 +793,7 @@ fn ranked_candidates(samples: &Samples, critical: &mut Critical) -> Vec<(usize, 
     ranked
 }
 
-/// How [`select_dependent`] runs.
+/// How a [`Selector`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectOptions<'a> {
     /// Significance level of every chi-square test (`0.01` in the paper).
@@ -756,62 +806,104 @@ pub struct SelectOptions<'a> {
     pub obs: &'a auric_obs::Recorder,
 }
 
-/// Selects the dependent attributes for `param` over `scope`, reading
-/// candidate levels from the prebuilt shared `arena`.
+/// Dependency selection over one learning scope, reading candidate levels
+/// from the prebuilt shared arena.
 ///
-/// By default selection is greedy with conditional redundancy control
-/// (see module docs) and the result is ordered by decreasing marginal
-/// statistic — the key order of the vote tables. Singular parameters test
-/// the carrier's own attributes; pair-wise parameters test both
-/// endpoints' (§4.1).
-pub fn select_dependent(
-    arena: &AttrArena,
-    snapshot: &NetworkSnapshot,
-    scope: &Scope,
-    param: ParamId,
-    opts: &SelectOptions,
-) -> Vec<PredictorAttr> {
-    let samples = collect_samples(arena, snapshot, scope, param);
-    if samples.len() == 0 {
-        return Vec::new();
-    }
-    let obs = opts.obs;
-    obs.add("cf.dep.marginal_tests", samples.candidates.len() as u64);
-    let mut critical = Critical::new(opts.alpha);
-    if opts.marginal {
-        return (0..samples.candidates.len())
-            .filter(|&c| marginal_test(&samples, c, &mut critical).1)
-            .map(|c| samples.candidates[c])
-            .collect();
-    }
-    // The per-candidate scratch: one level buffer, at most scope-sized.
-    obs.gauge_max(
-        "cf.dep.scratch.bytes",
-        (samples.len() * std::mem::size_of::<AttrValue>()) as u64,
-    );
-    let ranked = ranked_candidates(&samples, &mut critical);
+/// One selector serves every selection of one fit or delta batch, on
+/// every thread that works on it. It holds what those selections share:
+/// the critical values by degrees of freedom, and per parameter kind the
+/// scope's sample rows (carriers for singular parameters, pair endpoints
+/// and the destination order for pair-wise ones), each gathered on first
+/// use. A selection gathers only its parameter's value column.
+pub struct Selector<'a> {
+    arena: &'a AttrArena,
+    snapshot: &'a NetworkSnapshot,
+    scope: &'a Scope,
+    opts: SelectOptions<'a>,
+    critical: Critical,
+    /// Sample rows by [`ParamKind`]: singular, then pair-wise.
+    rows: [OnceLock<ScopeRows>; 2],
+}
 
-    // Greedy conditional admission. The stratification only changes when
-    // a candidate is admitted, so it is refined incrementally rather than
-    // rebuilt per test — and not at all after the last candidate, whose
-    // strata would never be read.
-    let mut levels: Vec<AttrValue> = Vec::with_capacity(samples.len());
-    let mut selected: Vec<usize> = Vec::new();
-    let mut strata = Strata::root(&samples.values, samples.n_value_cols);
-    for (k, &(c, _)) in ranked.iter().enumerate() {
-        samples.levels_at(c, &strata.idx, &mut levels);
-        let admit = selected.is_empty() || {
-            obs.inc("cf.dep.conditional_tests");
-            conditional_test(&samples, &levels, c, &strata).dependent(&mut critical)
-        };
-        if admit {
-            selected.push(c);
-            if k + 1 < ranked.len() {
-                strata.refine(&levels, samples.cards[c]);
-            }
+impl<'a> Selector<'a> {
+    /// A selector over `scope` of `snapshot`; `arena` is the snapshot's.
+    pub fn new(
+        arena: &'a AttrArena,
+        snapshot: &'a NetworkSnapshot,
+        scope: &'a Scope,
+        opts: SelectOptions<'a>,
+    ) -> Self {
+        Self {
+            arena,
+            snapshot,
+            scope,
+            opts,
+            critical: Critical::new(opts.alpha),
+            rows: [OnceLock::new(), OnceLock::new()],
         }
     }
-    selected.iter().map(|&c| samples.candidates[c]).collect()
+
+    /// The samples of `param`: its value column over the shared rows.
+    fn samples(&self, param: ParamId) -> Samples<'_> {
+        let kind = self.snapshot.catalog.def(param).kind;
+        let slot = match kind {
+            ParamKind::Singular => &self.rows[0],
+            ParamKind::Pairwise => &self.rows[1],
+        };
+        let rows = slot.get_or_init(|| ScopeRows::of(self.arena, self.scope, kind));
+        collect_samples(self.arena, self.snapshot, self.scope, rows, param)
+    }
+
+    /// Selects the dependent attributes of `param`.
+    ///
+    /// By default selection is greedy with conditional redundancy control
+    /// (see module docs) and the result is ordered by decreasing marginal
+    /// statistic — the key order of the vote tables. Singular parameters
+    /// test the carrier's own attributes; pair-wise parameters test both
+    /// endpoints' (§4.1).
+    pub fn select(&self, param: ParamId) -> Vec<PredictorAttr> {
+        let samples = self.samples(param);
+        if samples.len() == 0 {
+            return Vec::new();
+        }
+        let obs = self.opts.obs;
+        let critical = &self.critical;
+        obs.add("cf.dep.marginal_tests", samples.candidates.len() as u64);
+        if self.opts.marginal {
+            return (0..samples.candidates.len())
+                .filter(|&c| marginal_test(&samples, c, critical).1)
+                .map(|c| samples.candidates[c])
+                .collect();
+        }
+        // The per-candidate scratch: one level buffer, at most scope-sized.
+        obs.gauge_max(
+            "cf.dep.scratch.bytes",
+            (samples.len() * std::mem::size_of::<AttrValue>()) as u64,
+        );
+        let ranked = ranked_candidates(&samples, critical);
+
+        // Greedy conditional admission. The stratification only changes
+        // when a candidate is admitted, so it is refined incrementally
+        // rather than rebuilt per test — and not at all after the last
+        // candidate, whose strata would never be read.
+        let mut levels: Vec<AttrValue> = Vec::with_capacity(samples.len());
+        let mut selected: Vec<usize> = Vec::new();
+        let mut strata = Strata::root(&samples.values, samples.n_value_cols);
+        for (k, &(c, _)) in ranked.iter().enumerate() {
+            samples.levels_at(c, &strata.idx, &mut levels);
+            let admit = selected.is_empty() || {
+                obs.inc("cf.dep.conditional_tests");
+                conditional_test(&samples, &levels, c, &strata).dependent(critical)
+            };
+            if admit {
+                selected.push(c);
+                if k + 1 < ranked.len() {
+                    strata.refine(&levels, samples.cards[c]);
+                }
+            }
+        }
+        selected.iter().map(|&c| samples.candidates[c]).collect()
+    }
 }
 
 #[cfg(test)]
@@ -831,17 +923,65 @@ mod tests {
     ) -> Vec<PredictorAttr> {
         let arena = AttrArena::from_snapshot(snap);
         let obs = auric_obs::Recorder::disabled();
-        select_dependent(
-            &arena,
-            snap,
-            scope,
-            p,
-            &SelectOptions {
+        let opts = SelectOptions {
+            alpha,
+            marginal,
+            obs: &obs,
+        };
+        Selector::new(&arena, snap, scope, opts).select(p)
+    }
+
+    /// One selector shares its critical values across every selection
+    /// and thread: each value equals `chi2_critical` bit for bit and is
+    /// computed once, however often and wherever it is asked for.
+    #[test]
+    fn shared_critical_values_are_exact_and_computed_once() {
+        let net = generate(&NetScale::tiny(), &TuningKnobs::default());
+        let snap = &net.snapshot;
+        let arena = AttrArena::from_snapshot(snap);
+        let scope = Scope::whole(snap);
+        let obs = auric_obs::Recorder::disabled();
+        for alpha in [0.05, 0.01, 1e-4] {
+            let opts = SelectOptions {
                 alpha,
-                marginal,
+                marginal: false,
                 obs: &obs,
-            },
-        )
+            };
+            let selector = Selector::new(&arena, snap, &scope, opts);
+            let params: Vec<ParamId> = snap.catalog.param_ids().collect();
+            let selected = |half: usize| -> Vec<Vec<PredictorAttr>> {
+                params
+                    .iter()
+                    .skip(half)
+                    .step_by(2)
+                    .map(|&p| selector.select(p))
+                    .collect()
+            };
+            let (even, odd) = std::thread::scope(|s| {
+                let odd = s.spawn(|| selected(1));
+                (selected(0), odd.join().unwrap())
+            });
+            let critical = &selector.critical;
+            let table = critical.by_df.lock().unwrap().clone();
+            let computed = || critical.computed.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(table.len() > 1, "alpha {alpha}: {} values", table.len());
+            assert_eq!(
+                computed(),
+                table.len(),
+                "alpha {alpha}: a df computed twice"
+            );
+            for (&df, &value) in &table {
+                assert_eq!(
+                    value.to_bits(),
+                    chi2_critical(df, alpha).to_bits(),
+                    "df {df}"
+                );
+            }
+            // A second pass asks for the same values and computes none.
+            assert_eq!(selected(0), even);
+            assert_eq!(selected(1), odd);
+            assert_eq!(computed(), table.len(), "alpha {alpha}: recomputed");
+        }
     }
 
     #[test]

@@ -295,9 +295,8 @@ fn select_marginal(
 
 mod tests {
     use super::super::{
-        collect_samples as fast_samples, conditional_test as fast_conditional,
-        marginal_test as fast_marginal, ranked_candidates, select_dependent, Critical,
-        SelectOptions, Strata as FastStrata,
+        conditional_test as fast_conditional, marginal_test as fast_marginal, ranked_candidates,
+        SelectOptions, Selector, Strata as FastStrata,
     };
     use super::*;
     use auric_model::{AttrId, CarrierId, Provenance};
@@ -326,7 +325,14 @@ mod tests {
         param: ParamId,
         alpha: f64,
     ) -> Result<(), TestCaseError> {
-        let fast = fast_samples(arena, snap, scope, param);
+        let obs = Recorder::disabled();
+        let opts = SelectOptions {
+            alpha,
+            marginal: false,
+            obs: &obs,
+        };
+        let selector = Selector::new(arena, snap, scope, opts);
+        let fast = selector.samples(param);
         let slow = collect_samples(arena, snap, scope, param);
         let slow_values: Vec<u32> = slow.values.iter().map(|&v| v as u32).collect();
         prop_assert_eq!(&fast.values, &slow_values);
@@ -335,15 +341,15 @@ mod tests {
             return Ok(());
         }
         let mut slow_levels = Vec::new();
-        let mut critical = Critical::new(alpha);
+        let critical = &selector.critical;
         for c in 0..slow.candidates.len() {
             slow.levels_into(c, &mut slow_levels);
             let (s, d) = marginal_test(&slow, &slow_levels, c, alpha);
-            let (f, e) = fast_marginal(&fast, c, &mut critical);
+            let (f, e) = fast_marginal(&fast, c, critical);
             prop_assert_eq!((f.to_bits(), e), (s.to_bits(), d), "marginal {}", c);
         }
 
-        let ranked = ranked_candidates(&fast, &mut critical);
+        let ranked = ranked_candidates(&fast, critical);
         let mut fast_strata = FastStrata::root(&fast.values, fast.n_value_cols);
         let mut slow_strata = Strata::root(slow.len());
         same_strata(&fast_strata, &slow_strata, &slow_values)?;
@@ -361,7 +367,7 @@ mod tests {
                 c,
                 n_selected
             );
-            if n_selected == 0 || f.dependent(&mut critical) {
+            if n_selected == 0 || f.dependent(critical) {
                 n_selected += 1;
                 fast_strata.refine(&levels, fast.cards[c]);
                 slow_strata.refine(&slow_levels);
@@ -425,7 +431,7 @@ mod tests {
                 marginal,
                 obs: &fast_obs,
             };
-            let fast = select_dependent(arena, snap, scope, param, &opts);
+            let fast = Selector::new(arena, snap, scope, opts).select(param);
             let slow_obs = Recorder::deterministic();
             let slow = match (marginal, scope_len(snap, scope, param)) {
                 // The dense marginal path cannot build a zero-column table.
@@ -623,7 +629,14 @@ mod tests {
         p: ParamId,
         by: &[AttrId],
     ) -> FastStrata {
-        let fast = fast_samples(arena, snap, scope, p);
+        let obs = Recorder::disabled();
+        let opts = SelectOptions {
+            alpha: 0.01,
+            marginal: false,
+            obs: &obs,
+        };
+        let selector = Selector::new(arena, snap, scope, opts);
+        let fast = selector.samples(p);
         let mut strata = FastStrata::root(&fast.values, fast.n_value_cols);
         let mut levels = Vec::new();
         for &attr in by {
@@ -664,7 +677,10 @@ mod tests {
             marginal: false,
             obs: &obs,
         };
-        assert_eq!(select_dependent(&arena, &snap, &scope, p, &opts).len(), 2);
+        assert_eq!(
+            Selector::new(&arena, &snap, &scope, opts).select(p).len(),
+            2
+        );
         for alpha in ALPHAS {
             lockstep(&arena, &snap, &scope, p, alpha).unwrap();
             end_to_end(&arena, &snap, &scope, p, alpha).unwrap();
@@ -696,6 +712,90 @@ mod tests {
         for alpha in ALPHAS {
             lockstep(&arena, &snap, &scope, p, alpha).unwrap();
             end_to_end(&arena, &snap, &scope, p, alpha).unwrap();
+        }
+    }
+
+    /// Runs every parameter through one selector per flavor, the way a
+    /// fit or a delta batch shares one, and requires the oracle's
+    /// selection for each. Returns how many selections were non-empty.
+    fn one_selector_matches(
+        arena: &AttrArena,
+        snap: &NetworkSnapshot,
+        scope: &Scope,
+        alpha: f64,
+    ) -> usize {
+        let mut non_empty = 0;
+        for marginal in [false, true] {
+            let obs = Recorder::disabled();
+            let opts = SelectOptions {
+                alpha,
+                marginal,
+                obs: &obs,
+            };
+            let selector = Selector::new(arena, snap, scope, opts);
+            for p in snap.catalog.param_ids() {
+                let slow = match (marginal, scope_len(snap, scope, p)) {
+                    (true, 0) => Vec::new(),
+                    (true, _) => select_marginal(arena, snap, scope, p, alpha, &obs),
+                    (false, _) => select(arena, snap, scope, p, alpha, &obs),
+                };
+                let fast = selector.select(p);
+                assert_eq!(fast, slow, "{p:?}, marginal={marginal}, alpha {alpha}");
+                non_empty += !fast.is_empty() as usize;
+            }
+        }
+        non_empty
+    }
+
+    #[test]
+    fn one_selector_per_scope_matches_the_oracle() {
+        let scale = NetScale {
+            n_markets: 3,
+            ..NetScale::tiny()
+        };
+        let snap = generate(&scale, &TuningKnobs::default()).snapshot;
+        let arena = AttrArena::from_snapshot(&snap);
+        // Market 1's windows start and end inside the fleet's.
+        let inner = Scope::market(&snap, snap.markets[1].id);
+        assert!(inner.carrier_window().start > 0 && inner.pair_window().start > 0);
+        assert!(inner.carrier_window().end < snap.n_carriers());
+        let under_5 = Scope {
+            carriers: inner.carriers[..4].to_vec(),
+            pairs: inner.pairs[..4].to_vec(),
+        };
+        let empty = Scope::markets(&snap, &[]);
+        for alpha in ALPHAS {
+            let whole = one_selector_matches(&arena, &snap, &Scope::whole(&snap), alpha);
+            assert!(whole > 0);
+            assert!(one_selector_matches(&arena, &snap, &inner, alpha) > 0);
+            one_selector_matches(&arena, &snap, &under_5, alpha);
+            assert_eq!(one_selector_matches(&arena, &snap, &empty, alpha), 0);
+        }
+
+        // One singular and one pair-wise parameter single-valued over
+        // the scope: neither selects anything, the others still do.
+        let mut flat = snap.clone();
+        let singular = flat.catalog.singular_ids().next().unwrap();
+        let pairwise = flat.catalog.pairwise_ids().next().unwrap();
+        for &c in &inner.carriers {
+            flat.config.set_value(singular, c, 3, Provenance::Rule);
+        }
+        for &q in &inner.pairs {
+            flat.config.set_pair_value(pairwise, q, 3, Provenance::Rule);
+        }
+        let obs = Recorder::disabled();
+        for alpha in ALPHAS {
+            assert!(one_selector_matches(&arena, &flat, &inner, alpha) > 0);
+            for marginal in [false, true] {
+                let opts = SelectOptions {
+                    alpha,
+                    marginal,
+                    obs: &obs,
+                };
+                let selector = Selector::new(&arena, &flat, &inner, opts);
+                assert!(selector.select(singular).is_empty());
+                assert!(selector.select(pairwise).is_empty());
+            }
         }
     }
 

@@ -42,7 +42,7 @@ pub use cf::{
     fit_worker_threads, parallel_map, Basis, CfConfig, CfModel, DeltaApply, DeltaFitReport,
     FitOptions, ModelLoadError, Recommendation, SharedKeyColumns,
 };
-pub use dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
+pub use dependency::{PredictorAttr, SelectOptions, Selector, Side};
 pub use mismatch::{label_for, MismatchLabel, MismatchReport};
 pub use recommend::{
     recommend_pairwise, recommend_pairwise_keyed, recommend_singular, recommend_singular_keyed,

@@ -7,7 +7,7 @@
 //! generator seed, and fitting is order-stable regardless of the
 //! work-stealing schedule.
 
-use auric_core::dependency::{select_dependent, PredictorAttr, SelectOptions, Side};
+use auric_core::dependency::{PredictorAttr, SelectOptions, Selector, Side};
 use auric_core::{CfConfig, CfModel, Scope};
 use auric_model::{AttrArena, NetworkSnapshot, ParamId, ParamKind, Provenance};
 use auric_netgen::rules::RuleAttr;
@@ -32,7 +32,7 @@ fn select(
         marginal,
         obs: &obs,
     };
-    select_dependent(arena, snap, scope, param, &opts)
+    Selector::new(arena, snap, scope, opts).select(param)
 }
 
 /// Whether a planted rule attribute and a selected predictor agree. The

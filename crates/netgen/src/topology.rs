@@ -211,8 +211,16 @@ fn build_market(
             .filter(|&(j, _)| j != i)
             .map(|(j, b)| (a.position.distance(b.position), j))
             .collect();
-        by_dist.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-        for &(_, j) in by_dist.iter().take(k) {
+        // A total order (distance, then index), so partitioning at `k`
+        // and sorting the kept ones gives the same k nearest, in the same
+        // order, as sorting everything.
+        let order = |x: &(f64, usize), y: &(f64, usize)| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1));
+        if by_dist.len() > k {
+            by_dist.select_nth_unstable_by(k, order);
+            by_dist.truncate(k);
+        }
+        by_dist.sort_unstable_by(order);
+        for &(_, j) in &by_dist {
             if j < i {
                 continue; // each unordered eNodeB pair handled once
             }
